@@ -376,9 +376,8 @@ func BenchmarkWindowEngineProcess(b *testing.B) {
 
 // benchGatewayCluster spins up an in-process cluster of the given peer
 // count behind a gateway, seeds it with 2^14 points, and returns the
-// gateway URL — the shared fixture of the BenchmarkGatewayQuery* family.
-// mut tweaks the gateway config (push mode, cache off, …) before start.
-func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) string {
+// gateway URL — the fixture of BenchmarkGatewayQueryWarm.
+func benchGatewayCluster(b *testing.B, peers int) string {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 20, Kappa: 128, HighDim: true}
 	rng := rand.New(rand.NewPCG(7, 11))
 	pts := make([]geom.Point, 1<<14)
@@ -403,11 +402,7 @@ func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) str
 		urls[i] = ts.URL
 		b.Cleanup(func() { ts.Close(); eng.Close() })
 	}
-	cfg := cluster.Config{Peers: urls, Router: router, Dim: opts.Dim}
-	if mut != nil {
-		mut(&cfg)
-	}
-	gw, err := cluster.New(cfg)
+	gw, err := cluster.New(cluster.Config{Peers: urls, Router: router, Dim: opts.Dim})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,12 +420,11 @@ func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) str
 	return gwts.URL
 }
 
-// benchWarmGateway issues untimed queries until the gateway is warm: for
-// a pull gateway one round fills the per-peer and merged caches; a push
-// gateway is additionally polled until it reports staleness 0 — every
-// watcher connected and the seed ingest's pushes folded in — so the
-// timed loop measures the quiescent serve-stale fast path.
-func benchWarmGateway(b *testing.B, url string, push bool) {
+// benchWarmGateway issues untimed queries until the gateway reports
+// staleness 0 — every watcher connected and the seed ingest's pushes
+// folded in — so the timed loop measures the quiescent serve-stale fast
+// path.
+func benchWarmGateway(b *testing.B, url string) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -443,11 +437,11 @@ func benchWarmGateway(b *testing.B, url string, push bool) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("warm query status %d", resp.StatusCode)
 		}
-		if !push || resp.Header.Get(cluster.StalenessHeader) == "0" {
+		if resp.Header.Get(cluster.StalenessHeader) == "0" {
 			return
 		}
 		if time.Now().After(deadline) {
-			b.Fatal("push gateway did not settle")
+			b.Fatal("gateway did not settle")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -478,58 +472,27 @@ func benchGatewayQueries(b *testing.B, url string) {
 	b.ReportMetric(float64(durs[(len(durs)-1)*99/100]), "p99-ns")
 }
 
-// BenchmarkGatewayQuery measures repeated federated queries over an
-// in-process 3-peer cluster. With the epoch-keyed federated cache the
-// first round pays the full scatter-gather (fetch + deserialize + fold);
-// every later round revalidates the quiescent peers with 304s and
-// answers from the cached union — this benchmark therefore tracks the
-// steady-state serving rate of a quiescent cluster, the common
-// read-heavy shape.
-func BenchmarkGatewayQuery(b *testing.B) {
-	url := benchGatewayCluster(b, 3, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	benchGatewayQueries(b, url)
-}
-
 // BenchmarkGatewayQueryWarm is the warm steady-state serving path across
-// propagation modes and fan-outs. pull revalidates every peer with a
-// conditional GET per query, so its latency grows with the peer count;
-// push serves the cached fold with zero peer round trips on a quiescent
-// cluster, so its latency should stay flat from 1 to 8 peers — the
-// headline property of push-based epoch propagation.
+// fan-outs: the gateway serves its cached fold with zero peer round trips
+// on a quiescent cluster, so its latency should stay flat from 1 to 8
+// peers — the headline property of push-based epoch propagation. (The
+// "push/" prefix keeps the names of the committed baseline entries.)
 func BenchmarkGatewayQueryWarm(b *testing.B) {
-	for _, mode := range []string{"pull", "push"} {
-		push := mode == "push"
-		for _, peers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/peers=%d", mode, peers), func(b *testing.B) {
-				url := benchGatewayCluster(b, peers, func(c *cluster.Config) {
-					c.Push = push
-				})
-				benchWarmGateway(b, url, push)
-				b.ReportAllocs()
-				b.ResetTimer()
-				benchGatewayQueries(b, url)
-			})
-		}
+	for _, peers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("push/peers=%d", peers), func(b *testing.B) {
+			url := benchGatewayCluster(b, peers)
+			benchWarmGateway(b, url)
+			b.ReportAllocs()
+			b.ResetTimer()
+			benchGatewayQueries(b, url)
+		})
 	}
 }
 
-// BenchmarkGatewayQueryCold forces the full fan-out every round by disabling
-// the federated cache: every query re-fetches, re-deserializes, and
-// re-folds all three peer snapshots — the pre-cache behavior, tracked so
-// the invalidation path cannot quietly regress.
-func BenchmarkGatewayQueryCold(b *testing.B) {
-	url := benchGatewayCluster(b, 3, func(c *cluster.Config) { c.NoCache = true })
-	b.ReportAllocs()
-	b.ResetTimer()
-	benchGatewayQueries(b, url)
-}
-
-// BenchmarkSketchMarshal compares the retired gob wire format with the
-// hand-rolled binary one on a loaded time-window sampler — the sketch
-// family with the richest wire state (levels, expiry stamps, reservoir
-// skylines). blob_bytes reports the encoded size.
+// BenchmarkSketchMarshal measures the binary wire format's encode and
+// decode on a loaded time-window sampler — the sketch family with the
+// richest wire state (levels, expiry stamps, reservoir skylines).
+// blob_bytes reports the encoded size.
 func BenchmarkSketchMarshal(b *testing.B) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 20, Kappa: 64, HighDim: true, RandomRepresentative: true}
 	rng := rand.New(rand.NewPCG(19, 23))
@@ -544,10 +507,6 @@ func BenchmarkSketchMarshal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gobBlob, err := core.MarshalWindowSamplerV1(ws)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("binary/marshal", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(len(binBlob)), "blob_bytes")
@@ -557,27 +516,10 @@ func BenchmarkSketchMarshal(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gob/marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(len(gobBlob)), "blob_bytes")
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MarshalWindowSamplerV1(ws); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary/unmarshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.UnmarshalWindowSampler(binBlob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob/unmarshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.UnmarshalWindowSampler(gobBlob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,9 +31,11 @@
 // background (atomic writes, safe under live traffic), bounding data loss
 // on a crash to one interval.
 //
-// On SIGINT/SIGTERM the daemon stops accepting requests, drains the
-// engine, and — when -save-on-exit is set — writes a final checkpoint, so
-// a subsequent -restore resumes exactly where the stream left off.
+// On SIGINT/SIGTERM the daemon stops accepting requests, answers any
+// parked GET /watch long-poll (a watching gateway's) at once, waits for
+// in-flight requests, drains the engine, and — when -save-on-exit is
+// set — writes a final checkpoint, so a subsequent -restore resumes
+// exactly where the stream left off.
 // Restoring requires the same -sketch family, options, and seed as the
 // checkpointing run; -shards may differ (the checkpointed state is
 // re-routed onto the new shard layout with identical query results).
@@ -159,6 +161,9 @@ func main() {
 		fatal(err)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Parked /watch long-polls (a gateway's push watchers) would hold
+	// Shutdown until they time out; release them as soon as it begins.
+	httpSrv.RegisterOnShutdown(srv.ReleaseWatches)
 
 	if *pprofAddr != "" {
 		go func() {

@@ -53,7 +53,6 @@ func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 
 	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Peers[0] = proxy.URL()
-		c.Push = true
 		// Wide enough that every flap-phase serve stays inside the
 		// bound — no query should ever pay a degraded sync refresh.
 		c.MaxStale = time.Minute

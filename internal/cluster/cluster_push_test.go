@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/geom"
 )
 
@@ -96,19 +95,31 @@ func forwardProxy(t *testing.T, upstream string, hook func(path string) (handled
 	return proxy
 }
 
-// TestPushWarmPathServesWithoutFanout is the acceptance scenario: with
-// push enabled, a quiescent 4-peer cluster answers GET /query with zero
-// peer round trips on the request path (stale_serves grows while
-// peer_not_modified, deserializes, and merges stay flat), and an ingest
-// is reflected in the fold within one watch push plus one background
-// refresh — never a query-time fan-out.
+// outage is a forwardProxy hook that fails every request with 503 while
+// down is set — including one forwarded before it was set (a parked
+// /watch), which fails when its upstream answer comes back.
+func outage(down *atomic.Bool) func(string) (bool, func(http.ResponseWriter)) {
+	return func(string) (bool, func(http.ResponseWriter)) {
+		if !down.Load() {
+			return false, nil
+		}
+		return true, func(w http.ResponseWriter) {
+			http.Error(w, `{"error":"injected outage"}`, http.StatusServiceUnavailable)
+		}
+	}
+}
+
+// TestPushWarmPathServesWithoutFanout is the acceptance scenario: a
+// quiescent 4-peer cluster answers GET /query with zero peer round trips
+// on the request path (stale_serves grows while peer_not_modified,
+// deserializes, and merges stay flat), and an ingest is reflected in the
+// fold within one watch push plus one background refresh — never a
+// query-time fan-out.
 func TestPushWarmPathServesWithoutFanout(t *testing.T) {
 	pts := stream(100, 5, 61)
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 19, StreamBound: len(pts) + 16, Kappa: 128}
 	peers := newTestCluster(t, opts, 4, 2)
-	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
-		c.Push = true
-	})
+	_, ts := newTestGateway(t, opts, peers, nil)
 
 	// One batch straight into each peer's engine (gateway routing can be
 	// arbitrarily skewed for a hand-built stream; the union does not
@@ -154,9 +165,6 @@ func TestPushWarmPathServesWithoutFanout(t *testing.T) {
 	if s0.WatchPushes < 1 || s0.BgRefreshes < 1 {
 		t.Fatalf("settled stats show no push activity: pushes %d, bg refreshes %d",
 			s0.WatchPushes, s0.BgRefreshes)
-	}
-	if !s0.Push {
-		t.Fatal("stats do not report push mode")
 	}
 
 	// Quiescent warm path: every query is a stale serve off the cached
@@ -237,7 +245,6 @@ func TestPushPeerDeathServesStale(t *testing.T) {
 
 	gw, ts := newTestGateway(t, opts, peers[:1], func(c *Config) {
 		c.Peers = []string{peers[0].ts.URL, proxy.URL}
-		c.Push = true
 		// Wide enough that breaker-opening and the stale-complete check
 		// below land comfortably inside the bound, short enough that the
 		// bound is exceeded within the test.
@@ -320,7 +327,6 @@ func TestPushInvalidationDuringRefresh(t *testing.T) {
 
 	_, ts := newTestGateway(t, opts, []*testPeer{peers[0]}, func(c *Config) {
 		c.Peers = []string{proxy.URL}
-		c.Push = true
 		c.WatchTimeout = time.Second
 	})
 
@@ -355,7 +361,6 @@ func TestPushFallbackPolling(t *testing.T) {
 
 	_, ts := newTestGateway(t, opts, []*testPeer{peers[0]}, func(c *Config) {
 		c.Peers = []string{proxy.URL}
-		c.Push = true
 		c.PollInterval = 50 * time.Millisecond
 	})
 
@@ -375,22 +380,63 @@ func TestPushFallbackPolling(t *testing.T) {
 	}
 }
 
-// TestPushRequiresCache pins the config guard: push over a disabled
-// federated cache has nothing to serve stale from.
-func TestPushRequiresCache(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 10, Kappa: 128}
-	router, err := engine.NewRouterFromOptions(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		Peers:   []string{"http://127.0.0.1:1"},
-		Router:  router,
-		Dim:     2,
-		Push:    true,
-		NoCache: true,
+// TestPushCoveredEpochStartsNoRound pins that a push the installed fold
+// already covers is not an invalidation. A watcher's first poll answers
+// at once with the peer's current epoch; when a query's synchronous
+// refresh has folded that epoch first, treating the late push as news
+// starts a redundant background round — one that can land after the
+// fold looked settled, and after a peer has gone down.
+func TestPushCoveredEpochStartsNoRound(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 41, StreamBound: 1 << 10, Kappa: 128}
+	peers := newTestCluster(t, opts, 1, 1)
+	peers[0].eng.Process(geom.Point{1, 1})
+
+	// Hold the watcher's first poll until the cold query has folded.
+	var polls atomic.Int64
+	release := make(chan struct{})
+	proxy := forwardProxy(t, peers[0].ts.URL, func(path string) (bool, func(http.ResponseWriter)) {
+		if path == "/watch" && polls.Add(1) == 1 {
+			<-release
+		}
+		return false, nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "Push") {
-		t.Fatalf("New(Push+NoCache) = %v, want a config error", err)
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) { c.Peers = []string{proxy.URL} })
+
+	if q, _ := getQuery(t, ts.URL); q.Estimate != 1 {
+		t.Fatalf("cold query estimate %g, want 1", q.Estimate)
+	}
+	close(release)
+	// The watcher polls again only after it has handled the first poll's
+	// push.
+	waitFor(t, 10*time.Second, "the watcher's second poll", func() bool { return polls.Load() >= 2 })
+	if st := gwStats(t, ts.URL); st.WatchPushes != 1 {
+		t.Fatalf("watch_pushes %d, want the 1 late push", st.WatchPushes)
+	}
+	if n := gw.dirtyGen.Load(); n != 0 {
+		t.Fatalf("a push of the folded epoch marked the fold dirty %d time(s)", n)
+	}
+	if _, hdr := getQuery(t, ts.URL); hdr.Get(StalenessHeader) != "0" {
+		t.Fatalf("staleness %q after a covered push, want 0", hdr.Get(StalenessHeader))
+	}
+}
+
+// TestStalenessHeaderNeverZeroWhileDirty pins the X-Sketch-Staleness
+// contract: 0 means continuously validated, so a dirty fold installed
+// under a millisecond ago must not report a truncated 0 — a settle loop
+// would take it for clean while a pending round is about to replace it.
+func TestStalenessHeaderNeverZeroWhileDirty(t *testing.T) {
+	g := &Gateway{peers: []*peer{{}}}
+	g.peers[0].watchOK.Store(true)
+	g.lastFresh.Store(time.Now().UnixNano())
+	rec := httptest.NewRecorder()
+	g.setPushHeadersLocked(rec)
+	if got := rec.Header().Get(StalenessHeader); got != "0" {
+		t.Fatalf("clean fold staleness %q, want 0", got)
+	}
+	g.markDirty()
+	rec = httptest.NewRecorder()
+	g.setPushHeadersLocked(rec)
+	if got := rec.Header().Get(StalenessHeader); got == "0" {
+		t.Fatal("dirty fold reported staleness 0")
 	}
 }

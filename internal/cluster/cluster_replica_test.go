@@ -18,12 +18,13 @@ import (
 	"repro/pkg/sketch"
 )
 
-// TestReplicatedSurvivesSingleKill is ISSUE 10's acceptance scenario:
-// with -replicas 2 over 4 peers, killing any single peer must not cost
-// availability or accuracy — the federated estimate stays bit-identical
-// to a sequential sampler on the same stream with partial: false,
-// because every routing cell still has a live owner. A second kill
-// breaks quorum and the answer degrades honestly.
+// TestReplicatedSurvivesSingleKill is the replication acceptance
+// scenario: with -replicas 2 over 4 peers, killing any single peer must
+// not cost availability or accuracy — the refresh round after the kill
+// keeps the federated estimate bit-identical to a sequential sampler on
+// the same stream with partial: false, because every routing cell still
+// has a live owner. A second kill breaks quorum and the answer degrades
+// honestly.
 func TestReplicatedSurvivesSingleKill(t *testing.T) {
 	const groups, dup = 300, 6
 	pts := stream(groups, dup, 29)
@@ -44,9 +45,18 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 	}
 
 	peers := newTestCluster(t, opts, 4, 2)
-	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
+	// Every peer sits behind a proxy that can fail all its requests: a
+	// "killed" peer keeps its server, so no parked /watch blocks a Close.
+	downs := make([]*atomic.Bool, len(peers))
+	urls := make([]string, len(peers))
+	for i, p := range peers {
+		downs[i] = new(atomic.Bool)
+		urls[i] = forwardProxy(t, p.ts.URL, outage(downs[i])).URL
+	}
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = urls
 		c.Replicas = 2
-		c.DownAfter = 1 // one observed failure opens the breaker: healthz/quorum react to the first query
+		c.DownAfter = 1 // one observed failure opens the breaker: healthz/quorum react to the first round that misses the peer
 	})
 
 	resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
@@ -78,7 +88,7 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 		t.Fatalf("replicated ingest stats %+v", st)
 	}
 
-	full := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
+	full := waitFolded(t, ts.URL, peers)
 	if full.Partial || full.PeersOK != 4 || full.Replicas != 2 {
 		t.Fatalf("healthy query %+v", full)
 	}
@@ -86,10 +96,17 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 		t.Fatalf("healthy federated estimate %g, sequential %g", full.Estimate, seqRes.Estimate)
 	}
 
-	// Kill one peer: quorum holds, so the answer must be complete and
-	// bit-identical — the dead peer's cells all have their second owner.
-	peers[2].ts.Close()
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
+	// Kill one peer, then re-ingest a point peer 0 already holds: the push
+	// starts a refresh round that misses the dead peer. Quorum holds, so
+	// the answer must be complete and bit-identical — the dead peer's
+	// cells all have their second owner.
+	downs[2].Store(true)
+	peers[0].eng.Process(ownedBy(t, gw, pts, 0))
+	var q QueryResponse
+	waitFor(t, 10*time.Second, "refresh round without the killed peer", func() bool {
+		q, _ = getQuery(t, ts.URL)
+		return q.PeersOK == 3
+	})
 	if q.Partial || q.PeersOK != 3 || len(q.FailedPeers) != 1 {
 		t.Fatalf("single-kill query %+v", q)
 	}
@@ -116,11 +133,16 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 		t.Fatalf("single-kill stats %+v", st)
 	}
 
-	// Kill a second peer: Replicas distinct owners are now down, some
-	// cells may have no live owner — the gateway must degrade honestly.
-	peers[0].ts.Close()
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if !q.Partial || q.PeersOK != 2 {
+	// Kill a second peer (a re-ingest on peer 1 triggers the round):
+	// Replicas distinct owners are now down, some cells may have no live
+	// owner — the gateway must degrade honestly.
+	downs[0].Store(true)
+	peers[1].eng.Process(ownedBy(t, gw, pts, 1))
+	waitFor(t, 10*time.Second, "refresh round without both killed peers", func() bool {
+		q, _ = getQuery(t, ts.URL)
+		return q.PeersOK == 2
+	})
+	if !q.Partial {
 		t.Fatalf("double-kill query %+v", q)
 	}
 	body = healthzBody(t, ts.URL, http.StatusOK)

@@ -20,7 +20,10 @@ import (
 )
 
 // traceRecorder wraps a peer handler and records the X-Sketch-Trace
-// header of every request it serves, keyed by path.
+// header of every request it serves, keyed by path. It fails every
+// GET /watch, so the gateway's watchers never turn healthy, never push,
+// and every query over MaxStale pays a synchronous refresh — the
+// request-path scatter whose trace propagation is under test.
 type traceRecorder struct {
 	inner http.Handler
 	mu    sync.Mutex
@@ -31,6 +34,10 @@ func (tr *traceRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tr.mu.Lock()
 	tr.byP[r.URL.Path] = append(tr.byP[r.URL.Path], r.Header.Get(telemetry.TraceHeader))
 	tr.mu.Unlock()
+	if r.URL.Path == "/watch" {
+		http.Error(w, `{"error":"watch disabled"}`, http.StatusServiceUnavailable)
+		return
+	}
 	tr.inner.ServeHTTP(w, r)
 }
 
@@ -126,6 +133,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		RequestTimeout:  5 * time.Second,
 		Retries:         NoRetries,
 		DownAfter:       1000,
+		MaxStale:        time.Nanosecond,
 		Trace:           true,
 		SlowQuery:       time.Nanosecond, // every request logs
 		SlowQueryWriter: &slow,

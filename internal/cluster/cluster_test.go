@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,42 @@ func newTestGateway(t *testing.T, opts core.Options, peers []*testPeer, mut func
 	return gw, ts
 }
 
+// waitFolded waits until the gateway serves a clean fold (staleness 0)
+// built from every peer's current ingest epoch — from then on a query
+// reflects everything the peers have ingested, and no watcher push is
+// left to start another refresh round. peers are the gateway's peers in
+// order, reached directly or through transparent proxies. It returns the
+// last answer.
+func waitFolded(t *testing.T, url string, peers []*testPeer) QueryResponse {
+	t.Helper()
+	want := make([]string, len(peers))
+	var q QueryResponse
+	waitFor(t, 15*time.Second, "gateway to fold every peer's latest epoch", func() bool {
+		for i, p := range peers {
+			want[i] = strconv.FormatInt(p.eng.Epoch(), 10)
+		}
+		var hdr http.Header
+		q, hdr = getQuery(t, url)
+		return hdr.Get(StalenessHeader) == "0" && hdr.Get(EpochVectorHeader) == strings.Join(want, ",")
+	})
+	return q
+}
+
+// ownedBy returns the first point of pts whose routing cell peer i owns:
+// re-ingesting it on peer i moves that peer's epoch — so its watcher
+// pushes and the gateway runs a refresh round — without changing the
+// union.
+func ownedBy(t *testing.T, gw *Gateway, pts []geom.Point, i int) geom.Point {
+	t.Helper()
+	for _, p := range pts {
+		if gw.placement.Owns(gw.cfg.Router.Route(p), i) {
+			return p
+		}
+	}
+	t.Fatalf("no point routes to peer %d", i)
+	return nil
+}
+
 // TestClusterFederationEndToEnd is the acceptance scenario: 100k points
 // ingested through the gateway in concurrent batches (mixing wire
 // formats) land on exactly one of 3 peers each, and the federated
@@ -217,12 +254,10 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 		t.Fatalf("peers hold %d points in total, want exactly %d", routedTotal, len(pts))
 	}
 
-	// Federated query vs the sequential sampler.
-	resp, err := http.Get(ts.URL + "/query?k=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mustJSON[QueryResponse](t, resp, http.StatusOK)
+	// Federated query vs the sequential sampler, once the pushed ingest
+	// epochs have reached the fold.
+	waitFolded(t, ts.URL, peers)
+	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query?k=3"), http.StatusOK)
 	if q.Partial || q.PeersOK != 3 || q.PeersTotal != 3 || len(q.FailedPeers) != 0 {
 		t.Fatalf("healthy-cluster fanout metadata %+v", q)
 	}
@@ -235,7 +270,7 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 
 	// The gateway's own /sketch re-exports the federated union: it must
 	// deserialize to a sketch with the same estimate (gateway stacking).
-	resp, err = http.Get(ts.URL + "/sketch")
+	resp, err := http.Get(ts.URL + "/sketch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +360,7 @@ func TestClusterFederationF0(t *testing.T) {
 		t.Fatalf("ingested %d of %d", ir.Ingested, len(pts))
 	}
 
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
+	q := waitFolded(t, ts.URL, peers)
 	if q.Partial || q.PeersOK != 3 {
 		t.Fatalf("fanout metadata %+v", q)
 	}
@@ -335,16 +370,25 @@ func TestClusterFederationF0(t *testing.T) {
 	}
 }
 
-// TestClusterPartialFailure kills one of 3 peers and requires the
-// degrade policy to answer with partial=true, the fail policy to refuse
-// with 502, and /healthz to report degradation.
+// TestClusterPartialFailure takes one of 3 peers down and requires the
+// next refresh round to degrade the answer to partial=true under the
+// degrade policy and to be refused with 502 under the fail policy.
 func TestClusterPartialFailure(t *testing.T) {
 	pts := stream(200, 20, 7)
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: len(pts) + 1, Kappa: 128}
 
 	peers := newTestCluster(t, opts, 3, 2)
-	gw, degradeTS := newTestGateway(t, opts, peers, nil)
-	_, failTS := newTestGateway(t, opts, peers, func(c *Config) { c.Partial = PartialFail })
+	// Peer 1 sits behind a proxy that can fail every request: closing
+	// its server instead would block on the watcher's parked /watch.
+	var down atomic.Bool
+	proxy := forwardProxy(t, peers[1].ts.URL, outage(&down))
+	urls := []string{peers[0].ts.URL, proxy.URL, peers[2].ts.URL}
+	gw, degradeTS := newTestGateway(t, opts, peers, func(c *Config) { c.Peers = urls })
+	_, failTS := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = urls
+		c.Partial = PartialFail
+		c.MaxStale = time.Nanosecond // a dirty fold is never served: the refused refresh surfaces
+	})
 
 	// Seed every peer directly (via the gateway's own routing function) so
 	// the dead peer's points are genuinely missing from degraded answers.
@@ -352,29 +396,37 @@ func TestClusterPartialFailure(t *testing.T) {
 		peers[gw.peerIndex(p)].eng.Process(p)
 	}
 
-	full := mustJSON[QueryResponse](t, mustGet(t, degradeTS.URL+"/query"), http.StatusOK)
+	full := waitFolded(t, degradeTS.URL, peers)
 	if full.Partial || full.PeersOK != 3 {
 		t.Fatalf("healthy query %+v", full)
 	}
+	waitFolded(t, failTS.URL, peers)
 
-	peers[1].ts.Close() // peer 1 goes dark
+	// Peer 1 goes dark, and a re-ingested point moves peer 0's epoch: the
+	// push starts a refresh round on both gateways, which misses peer 1.
+	down.Store(true)
+	peers[0].eng.Process(ownedBy(t, gw, pts, 0))
 
-	q := mustJSON[QueryResponse](t, mustGet(t, degradeTS.URL+"/query"), http.StatusOK)
-	if !q.Partial || q.PeersOK != 2 || len(q.FailedPeers) != 1 || q.FailedPeers[0] != peers[1].ts.URL {
+	var q QueryResponse
+	waitFor(t, 10*time.Second, "refresh round to fold without peer 1", func() bool {
+		q, _ = getQuery(t, degradeTS.URL)
+		return q.Partial
+	})
+	if q.PeersOK != 2 || len(q.FailedPeers) != 1 || q.FailedPeers[0] != proxy.URL {
 		t.Fatalf("degraded query %+v", q)
 	}
 	if q.Estimate <= 0 || q.Estimate >= full.Estimate {
 		t.Fatalf("degraded estimate %g should be positive and below the full %g", q.Estimate, full.Estimate)
 	}
 
-	resp := mustGet(t, failTS.URL+"/query")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("fail-policy query status %d, want 502", resp.StatusCode)
-	}
+	waitFor(t, 10*time.Second, "fail-policy gateway to refuse the partial refresh", func() bool {
+		resp := mustGet(t, failTS.URL+"/query")
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusBadGateway
+	})
 
 	// A partial /sketch export is flagged, not silent.
-	resp = mustGet(t, degradeTS.URL+"/sketch")
+	resp := mustGet(t, degradeTS.URL+"/sketch")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sketch-Partial") != "true" {
 		t.Fatalf("partial sketch status %d partial-header %q", resp.StatusCode, resp.Header.Get("X-Sketch-Partial"))
@@ -431,54 +483,31 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// Peer 1 sits behind a toggleable proxy so it can fail and recover.
 	var down atomic.Bool
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			// 503: a transient, health-relevant outage (500 would mean the
-			// peer is alive and answering deterministically — not charged).
-			http.Error(w, `{"error":"injected outage"}`, http.StatusServiceUnavailable)
-			return
-		}
-		resp, err := http.Get(peers[1].ts.URL + r.URL.Path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		_, _ = w.Write(buf.Bytes())
-	}))
-	defer proxy.Close()
-
-	router, err := engine.NewRouterFromOptions(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, ts := newTestGateway(t, opts, peers[:1], func(c *Config) {
+	proxy := forwardProxy(t, peers[1].ts.URL, outage(&down))
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Peers = []string{peers[0].ts.URL, proxy.URL}
-		c.Router = router
 		c.DownAfter = 2
-		c.DownCooldown = 100 * time.Millisecond
+		c.DownCooldown = time.Hour              // stays open until the test elapses it
+		c.WatchTimeout = 100 * time.Millisecond // the watcher re-polls, and so meets the outage, quickly
 	})
 
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if q.Partial {
+	if q := waitFolded(t, ts.URL, peers); q.Partial {
 		t.Fatalf("healthy query partial: %+v", q)
 	}
 
 	down.Store(true)
-	for i := 0; i < 2; i++ { // two failures open the breaker
-		q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-		if !q.Partial {
-			t.Fatalf("query %d against downed peer not partial", i)
-		}
-	}
+	waitFor(t, 10*time.Second, "two failed watch polls to open the breaker", func() bool {
+		return !gwStats(t, ts.URL).Peers[1].Up
+	})
+	// An open breaker issues no requests: the watcher waits out the
+	// cooldown, and the refresh round a push from peer 0 starts skips
+	// peer 1 and folds the live subset.
 	reqsWhenOpen := gw.peers[1].requests.Load()
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if !q.Partial {
-		t.Fatal("open-breaker query not partial")
-	}
+	peers[0].eng.Process(geom.Point{1, 2})
+	waitFor(t, 10*time.Second, "refresh round past the open breaker", func() bool {
+		q, _ := getQuery(t, ts.URL)
+		return q.Partial
+	})
 	if got := gw.peers[1].requests.Load(); got != reqsWhenOpen {
 		t.Fatalf("open breaker still issued requests (%d → %d)", reqsWhenOpen, got)
 	}
@@ -488,13 +517,15 @@ func TestCircuitBreaker(t *testing.T) {
 		t.Fatalf("degraded healthz status %d, want 200", resp.StatusCode)
 	}
 
-	// Recovery: cooldown elapses, peer answers again, breaker closes.
+	// Recovery: the cooldown elapses, the peer answers again, and the
+	// next refresh round's probe closes the breaker.
 	down.Store(false)
-	time.Sleep(150 * time.Millisecond)
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if q.Partial || q.PeersOK != 2 {
-		t.Fatalf("post-recovery query %+v", q)
-	}
+	gw.peers[1].downUntil.Store(time.Now().UnixNano())
+	peers[0].eng.Process(geom.Point{1, 2})
+	waitFor(t, 10*time.Second, "probe to close the breaker and restore the fold", func() bool {
+		q, _ := getQuery(t, ts.URL)
+		return !q.Partial && q.PeersOK == 2
+	})
 }
 
 // TestGatewayRejectsMalformedIngest pins that bad bodies are rejected at

@@ -8,20 +8,27 @@
 //     each point's routing-grid cell (engine.Router — the same grid the
 //     peers shard by), so every point lands on exactly one peer and a
 //     near-duplicate group lands together with high probability.
-//   - Scatter-gather query: GET /query (and GET /sketch) fetches the
-//     serialized merged snapshot of every live peer in parallel,
-//     sketch.Deserializes them, and folds them with Mergeable.Merge;
-//     boundary groups are repaired by the merge's α-ball coalescing,
-//     exactly as between shards.
+//   - Federated query: GET /query (and GET /sketch) answers from the
+//     cached fold of every live peer's serialized merged snapshot,
+//     sketch.Deserialized and folded with Mergeable.Merge; boundary
+//     groups are repaired by the merge's α-ball coalescing, exactly as
+//     between shards.
+//   - Push propagation: one watcher per peer long-polls the peer's
+//     GET /watch and marks the fold dirty on every ingest-epoch bump, and
+//     a background refresher re-folds off the request path. Queries serve
+//     the last good fold at once — a slightly stale merged sketch is still
+//     a valid sketch of an earlier prefix of the stream — and pay a
+//     synchronous refresh only when there is no fold yet or it is older
+//     than MaxStale while dirty (see push.go).
 //   - Partial failure is policy: PartialFail turns any unreachable peer
 //     into a 502, PartialDegrade (the default) answers from the live
 //     subset with "partial": true in the response.
-//   - Federated query cache: every peer snapshot is cached alongside its
-//     strong ETag (derived from the peer's ingest epoch), re-fetched
-//     with conditional GETs (a 304 reuses the cached deserialized
-//     sketch), and the merged union plus per-k answers are cached keyed
-//     by the whole peer-epoch vector — a quiescent cluster answers
-//     repeated queries without deserializing or merging anything.
+//   - Federated cache: every peer snapshot is cached alongside its strong
+//     ETag (derived from the peer's ingest epoch), re-fetched with
+//     conditional GETs (a 304 reuses the cached deserialized sketch), and
+//     the merged union plus per-k answers are cached keyed by the whole
+//     peer-epoch vector — a refresh round over unchanged peers
+//     deserializes and merges nothing.
 //
 // The gateway exposes the same HTTP API as a single daemon (/ingest,
 // /query, /stats, /healthz — and /sketch, so gateways stack into trees),
@@ -169,28 +176,17 @@ type Config struct {
 	// MaxBodyBytes caps a single ingest body. Defaults to 64 MiB.
 	MaxBodyBytes int64
 
-	// NoCache disables the federated query cache: every query re-fetches,
-	// re-deserializes, and re-folds every peer snapshot as if the peers'
-	// epochs had moved (conditional GETs are not sent). The gateway still
-	// serves correct ETags to its own clients. Intended for debugging and
-	// A/B measurement, not production. Incompatible with Push.
-	NoCache bool
-
-	// Push inverts the cache protocol from pull to push: one watcher
-	// goroutine per peer long-polls the peer's GET /watch for epoch bumps
-	// and marks the federated cache dirty, a background refresher re-folds
-	// off the request path, and queries serve the last good fold
-	// immediately (serve-stale-while-revalidate) instead of paying a
-	// conditional-GET fan-out. Peers without /watch (404) are watched by
-	// conditional-GET polling at PollInterval instead. The owner must call
-	// Close when done with a push gateway.
+	// Push is ignored: push-based epoch propagation is the gateway's only
+	// mode.
+	//
+	// Deprecated: every gateway watches its peers; leave Push unset.
 	Push bool
 
-	// MaxStale bounds how stale a served fold may be under Push: when the
-	// cache is dirty (or the watchers are unhealthy) and the last good
-	// fold is older than MaxStale, the query pays a synchronous refresh
-	// instead of serving stale. 0 selects the 5s default; negative means
-	// no bound (always serve stale, revalidate in background).
+	// MaxStale bounds how stale a served fold may be: when the cache is
+	// dirty (or a watcher is unhealthy) and the last good fold is older
+	// than MaxStale, the query pays a synchronous refresh instead of
+	// serving stale. 0 selects the 5s default; negative means no bound
+	// (always serve stale, revalidate in background).
 	MaxStale time.Duration
 
 	// WatchTimeout is the long-poll timeout requested from peers'
@@ -373,7 +369,7 @@ type Gateway struct {
 	watchPollFallbacks atomic.Int64 // watchers downgraded to conditional-GET polling (peer has no /watch)
 	bgRefreshes        atomic.Int64 // scatter rounds run by the background refresher
 	staleServes        atomic.Int64 // queries answered from the cached fold with zero request-path peer round trips
-	syncRefreshes      atomic.Int64 // push-mode queries that paid a synchronous refresh (cold, or staleness bound exceeded)
+	syncRefreshes      atomic.Int64 // queries that paid a synchronous refresh (cold, or staleness bound exceeded)
 	maxStalenessNs     atomic.Int64 // maximum fold staleness observed at serve time
 
 	reg  *telemetry.Registry // /metrics families; nil when NoMetrics
@@ -394,7 +390,9 @@ type peerSnap struct {
 	degraded bool  // peer (itself a gateway) flagged its fold partial
 }
 
-// New builds a Gateway over the configured peers.
+// New builds a Gateway over the configured peers and starts its
+// background goroutines: one watcher per peer, the refresher, and with
+// Replicas > 1 the hinted-handoff drainer. The owner must call Close.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Peers) == 0 {
@@ -405,9 +403,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("cluster: Config.Dim must be ≥ 1, got %d", cfg.Dim)
-	}
-	if cfg.Push && cfg.NoCache {
-		return nil, fmt.Errorf("cluster: Push requires the federated cache (drop NoCache)")
 	}
 	pl, err := engine.NewPlacement(len(cfg.Peers), cfg.Replicas)
 	if err != nil {
@@ -424,6 +419,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.peers[i] = &peer{url: strings.TrimRight(raw, "/")}
 		g.peers[i].watchOK.Store(true)
+		g.peers[i].foldEpoch.Store(-1)
 	}
 	g.initTelemetry()
 	g.mux.HandleFunc("POST /ingest", g.handleIngest)
@@ -436,14 +432,12 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.stop = make(chan struct{})
 	g.stopCtx, g.stopCancel = context.WithCancel(context.Background())
-	if cfg.Push {
-		g.refreshKick = make(chan struct{}, 1)
+	g.refreshKick = make(chan struct{}, 1)
+	g.watcherWG.Add(1)
+	go g.refresher()
+	for i, p := range g.peers {
 		g.watcherWG.Add(1)
-		go g.refresher()
-		for i, p := range g.peers {
-			g.watcherWG.Add(1)
-			go g.watchPeer(i, p)
-		}
+		go g.watchPeer(i, p)
 	}
 	if cfg.Replicas > 1 {
 		g.handoff = make([]*handoffQueue, len(g.peers))
@@ -457,12 +451,11 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the background machinery: the per-peer push watchers
-// (aborting their in-flight long-polls), the background refresher, and
-// the hinted-handoff drainer. Idempotent; a no-op for pull gateways
-// without replication. In-flight HTTP requests served by the gateway are
-// unaffected. Hints still queued when Close returns are dropped with the
-// gateway.
+// Close stops the background machinery: the per-peer watchers (aborting
+// their in-flight long-polls), the background refresher, and the
+// hinted-handoff drainer. Idempotent. In-flight HTTP requests served by
+// the gateway are unaffected. Hints still queued when Close returns are
+// dropped with the gateway.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		close(g.stop)
@@ -517,8 +510,8 @@ type PeerStatus struct {
 	ConsecutiveFailures int64 `json:"consecutive_failures"`
 	// LastError is the most recent failure, if any.
 	LastError string `json:"last_error,omitempty"`
-	// WatchOK reports whether the peer's push watcher (or its polling
-	// fallback) is healthy. Always true on pull gateways.
+	// WatchOK reports whether the peer's watcher (or its polling
+	// fallback) is healthy.
 	WatchOK bool `json:"watch_ok"`
 }
 
@@ -572,9 +565,8 @@ type StatsResponse struct {
 	IngestRequests int64 `json:"ingest_requests"`
 	// PointsRouted counts points forwarded to peers.
 	PointsRouted int64 `json:"points_routed"`
-	// Queries counts GET /query and GET /sketch requests served (each is
-	// a fan-out on a pull gateway; on a push gateway most are answered
-	// from the cached fold with no fan-out at all).
+	// Queries counts GET /query and GET /sketch requests served (most are
+	// answered from the cached fold with no fan-out at all).
 	Queries int64 `json:"queries"`
 	// PartialQueries counts fan-outs answered from a strict peer subset.
 	PartialQueries int64 `json:"partial_queries"`
@@ -602,8 +594,6 @@ type StatsResponse struct {
 	// NotModified counts the gateway's own 304 responses to conditional
 	// GETs from its clients (e.g. a higher-tier gateway).
 	NotModified int64 `json:"not_modified"`
-	// Push reports whether push-based epoch propagation is enabled.
-	Push bool `json:"push"`
 	// WatchPushes counts epoch bumps received from peers over /watch
 	// long-polls (each marks the federated cache dirty).
 	WatchPushes int64 `json:"watch_pushes"`
@@ -613,11 +603,11 @@ type StatsResponse struct {
 	// BgRefreshes counts scatter rounds run by the background refresher,
 	// off the request path.
 	BgRefreshes int64 `json:"bg_refreshes"`
-	// StaleServes counts push-mode queries answered from the cached fold
-	// with zero peer round trips on the request path.
+	// StaleServes counts queries answered from the cached fold with zero
+	// peer round trips on the request path.
 	StaleServes int64 `json:"stale_serves"`
-	// SyncRefreshes counts push-mode queries that paid a synchronous
-	// fan-out (cold cache, or the staleness bound was exceeded).
+	// SyncRefreshes counts queries that paid a synchronous fan-out (cold
+	// cache, or the staleness bound was exceeded).
 	SyncRefreshes int64 `json:"sync_refreshes"`
 	// MaxStalenessMS is the maximum fold staleness observed at serve
 	// time, in milliseconds (0 until a stale fold is ever served).
@@ -715,7 +705,12 @@ type flight struct {
 // is detached from the leader's request context (it outlives a client
 // disconnect; per-attempt timeouts still bound it), so followers never
 // inherit a stranger's cancellation.
-func (g *Gateway) refresh(ctx context.Context) error {
+//
+// bg marks a background revalidation: it runs a round only while the
+// fold is dirty. The check happens after winning the flight, when every
+// earlier round has installed, so a round that already cleaned the fold
+// (a query's synchronous refresh, say) is never repeated for nothing.
+func (g *Gateway) refresh(ctx context.Context, bg bool) error {
 	g.flightMu.Lock()
 	if f := g.inflight; f != nil {
 		g.flightMu.Unlock()
@@ -725,6 +720,13 @@ func (g *Gateway) refresh(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	if bg {
+		if !g.dirtyFold() {
+			g.flightMu.Unlock()
+			return nil
+		}
+		g.bgRefreshes.Add(1)
 	}
 	f := &flight{done: make(chan struct{})}
 	g.inflight = f
@@ -753,7 +755,6 @@ func (g *Gateway) refresh(ctx context.Context) error {
 // peer contributed, or when the round is partial under PartialFail —
 // the cache is left untouched in both cases.
 func (g *Gateway) scatter(ctx context.Context) error {
-	useCache := !g.cfg.NoCache
 	// The generation read MUST precede the network round: an invalidation
 	// that lands while the round is in flight may or may not be reflected
 	// in the fetched snapshots, so stamping any later generation on
@@ -777,7 +778,7 @@ func (g *Gateway) scatter(ctx context.Context) error {
 			// per-peer slots cannot be written concurrently.
 			snap := &g.peerSnaps[i]
 			var extra http.Header
-			if useCache && snap.sk != nil && snap.etag != "" {
+			if snap.sk != nil && snap.etag != "" {
 				extra = http.Header{"If-None-Match": []string{snap.etag}}
 			}
 			tFetch := time.Now()
@@ -854,9 +855,9 @@ func (g *Gateway) scatter(ctx context.Context) error {
 	// work only; the network round above ran without it).
 	g.cacheMu.Lock()
 	defer g.cacheMu.Unlock()
-	if useCache && g.mergedValid && key == g.mergedKey {
+	if g.mergedValid && key == g.mergedKey {
 		g.fedCacheHits.Add(1)
-		g.markFresh(startGen)
+		g.markFresh(startGen, epochs)
 		return nil
 	}
 	g.fedCacheMisses.Add(1)
@@ -893,18 +894,22 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		g.sketchMerges.Add(1)
 	}
 	g.merged, g.mergedFo, g.mergedKey = merged, fo, key
-	g.mergedValid = useCache
+	g.mergedValid = true
 	g.mergedBlob = nil
 	g.mergedEpochs = epochs
 	clear(g.answers)
-	g.markFresh(startGen)
+	g.markFresh(startGen, epochs)
 	return nil
 }
 
 // markFresh stamps a successfully installed (or revalidated) fold: the
-// cache now reflects every invalidation up to startGen, and its age
-// clock restarts.
-func (g *Gateway) markFresh(startGen int64) {
+// cache now reflects every invalidation up to startGen, each peer's
+// fold epoch is the one the round fetched (so watchers ignore pushes the
+// fold already covers), and the fold's age clock restarts.
+func (g *Gateway) markFresh(startGen int64, epochs []int64) {
+	for i, ep := range epochs {
+		g.peers[i].foldEpoch.Store(ep)
+	}
 	g.lastRoundGen.Store(startGen)
 	g.lastFresh.Store(time.Now().UnixNano())
 }
@@ -962,14 +967,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.queries.Add(1)
-	if g.cfg.Push {
-		if !g.ensureFreshPush(w, ctx, span) {
-			g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: http.StatusBadGateway}, t0)
-			return
-		}
-	} else if err := g.refreshTimed(ctx, span); err != nil {
-		server.WriteError(w, federateStatus(err), err)
-		g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: federateStatus(err)}, t0)
+	if status := g.ensureFresh(w, ctx, span); status != 0 {
+		g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: status}, t0)
 		return
 	}
 	ta := time.Now()
@@ -1005,28 +1004,16 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			g.finishRequest(span, g.tel.reqQuery, slowE, t0)
 			return
 		}
-		if !g.cfg.NoCache {
-			if len(g.answers) >= maxAnswerCache {
-				clear(g.answers)
-			}
-			g.answers[k] = resp.QueryResponse
+		if len(g.answers) >= maxAnswerCache {
+			clear(g.answers)
 		}
+		g.answers[k] = resp.QueryResponse
 	}
 	g.servedPartial(fo)
 	g.cacheMu.Unlock()
 	telemetry.Observe(g.tel.answer, span, "answer", time.Since(ta))
 	server.WriteJSON(w, http.StatusOK, resp)
 	g.finishRequest(span, g.tel.reqQuery, slowE, t0)
-}
-
-// refreshTimed wraps a request-path refresh in the "refresh" stage
-// observation (pull mode; push-mode refreshes are timed inside
-// ensureFreshPush, which only refreshes when it must).
-func (g *Gateway) refreshTimed(ctx context.Context, span *telemetry.Span) error {
-	t := time.Now()
-	err := g.refresh(ctx)
-	telemetry.Observe(g.tel.refresh, span, "refresh", time.Since(t))
-	return err
 }
 
 // exportETag is the strong validator of the gateway's own /sketch
@@ -1052,14 +1039,8 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
 	g.queries.Add(1)
-	if g.cfg.Push {
-		if !g.ensureFreshPush(w, ctx, span) {
-			g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: http.StatusBadGateway}, t0)
-			return
-		}
-	} else if err := g.refreshTimed(ctx, span); err != nil {
-		server.WriteError(w, federateStatus(err), err)
-		g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: federateStatus(err)}, t0)
+	if status := g.ensureFresh(w, ctx, span); status != 0 {
+		g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: status}, t0)
 		return
 	}
 	te := time.Now()
@@ -1302,7 +1283,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 		SketchMerges:     g.sketchMerges.Load(),
 		NotModified:      g.notModified.Load(),
 
-		Push:               g.cfg.Push,
 		WatchPushes:        g.watchPushes.Load(),
 		WatchPollFallbacks: g.watchPollFallbacks.Load(),
 		BgRefreshes:        g.bgRefreshes.Load(),

@@ -185,7 +185,7 @@ func (g *Gateway) drainPeer(i int, p *peer) {
 // predating POST /sketch simply answer 404/405 and converge through
 // hinted handoff alone.
 func (g *Gateway) readRepair(i int, p *peer) {
-	if err := g.refresh(g.stopCtx); err != nil {
+	if err := g.refresh(g.stopCtx, false); err != nil {
 		return
 	}
 	g.cacheMu.Lock()

@@ -32,7 +32,8 @@ type peer struct {
 	consec    atomic.Int64 // consecutive failed requests (resets on success)
 	downUntil atomic.Int64 // unix nanos until which the breaker is open; 0 = closed
 	lastErr   atomic.Value // string: most recent failure, for /stats
-	watchOK   atomic.Bool  // push mode: the peer's watcher (or its poll fallback) is healthy
+	watchOK   atomic.Bool  // the peer's watcher (or its poll fallback) is healthy
+	foldEpoch atomic.Int64 // the peer's ingest epoch in the installed fold; -1 = down, unknown, or no fold
 }
 
 // up reports whether the peer's circuit breaker is closed — the

@@ -1,12 +1,12 @@
 package cluster
 
-// Push-based epoch propagation: the serve-stale-while-revalidate side of
-// the gateway (Config.Push). One watcher goroutine per peer long-polls
-// the peer's GET /watch; an epoch bump marks the federated cache dirty
-// and wakes the background refresher, which singleflights a scatter
-// round off the request path. Queries then serve the last good fold
-// immediately — the paper's mergeability is what makes that sound: a
-// slightly stale merged sketch is still a valid sketch over a slightly
+// Push-based epoch propagation: how the gateway keeps its fold fresh.
+// One watcher goroutine per peer long-polls the peer's GET /watch; an
+// epoch bump the installed fold does not cover marks the federated cache
+// dirty and wakes the background refresher, which singleflights a
+// scatter round off the request path. Queries then serve the last good
+// fold immediately — the paper's mergeability is what makes that sound:
+// a slightly stale merged sketch is still a valid sketch over a slightly
 // earlier prefix of the stream, so freshness can be bounded by
 // propagation delay (MaxStale) instead of query-time fan-out.
 //
@@ -37,10 +37,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StalenessHeader is the response header on a push gateway's /query and
-// /sketch answers: the served fold's staleness in milliseconds. 0 means
-// the fold is continuously validated — every watcher healthy and no
-// unapplied invalidation.
+// StalenessHeader is the response header on the gateway's /query and
+// /sketch answers: the served fold's staleness in milliseconds, rounded
+// up. 0 means the fold is continuously validated — every watcher healthy
+// and no unapplied invalidation.
 const StalenessHeader = "X-Sketch-Staleness"
 
 // EpochVectorHeader is the response header carrying the per-peer ingest
@@ -91,7 +91,9 @@ func (g *Gateway) watchersHealthy() bool {
 // the cache is clean and every watcher healthy (any ingest would have
 // been pushed already), and the age of the last good fold otherwise —
 // a conservative overestimate, since the fold was fresh until the first
-// unseen ingest, not until the round that built it.
+// unseen ingest, not until the round that built it. That age is at
+// least 1ns, so such a fold never reads as fresh, even on a wall clock
+// too coarse to see it age or stepped backwards.
 //
 //sketch:hotpath
 func (g *Gateway) foldStaleness(now time.Time) time.Duration {
@@ -102,18 +104,18 @@ func (g *Gateway) foldStaleness(now time.Time) time.Duration {
 	if lf == 0 {
 		return 0 // no fold installed yet; the cold path refreshes synchronously
 	}
-	return now.Sub(time.Unix(0, lf))
+	return max(now.Sub(time.Unix(0, lf)), time.Nanosecond)
 }
 
-// ensureFreshPush is the push-mode gate in front of the answer phase:
-// it decides whether the cached fold may be served as-is (the fast
-// path — zero peer round trips) or the request must pay a synchronous
-// scatter (no fold yet, or the staleness bound is exceeded while the
-// cache is dirty or a watcher is down). It reports false after writing
-// an error response. Under PartialDegrade a failed synchronous refresh
+// ensureFresh is the gate in front of the answer phase: it decides
+// whether the cached fold may be served as-is (the fast path — zero peer
+// round trips) or the request must pay a synchronous scatter (no fold
+// yet, or the staleness bound is exceeded while the cache is dirty or a
+// watcher is down). It returns 0 to proceed, or the status of the error
+// response it wrote. Under PartialDegrade a failed synchronous refresh
 // over an existing fold falls back to serving stale — a stale merged
 // sketch is still a valid answer, which is the whole point.
-func (g *Gateway) ensureFreshPush(w http.ResponseWriter, ctx context.Context, span *telemetry.Span) bool {
+func (g *Gateway) ensureFresh(w http.ResponseWriter, ctx context.Context, span *telemetry.Span) int {
 	age := g.foldStaleness(time.Now())
 	overBound := g.cfg.MaxStale >= 0 && age > g.cfg.MaxStale
 	if !g.haveFold() || overBound {
@@ -121,18 +123,22 @@ func (g *Gateway) ensureFreshPush(w http.ResponseWriter, ctx context.Context, sp
 		// Only the sync-refresh path records a "refresh" stage: a stale
 		// serve pays zero request-path round trips, and recording its
 		// near-zero gate time would drown the histogram in noise.
-		if err := g.refreshTimed(ctx, span); err != nil {
+		t := time.Now()
+		err := g.refresh(ctx, false)
+		telemetry.Observe(g.tel.refresh, span, "refresh", time.Since(t))
+		if err != nil {
 			if !g.haveFold() || g.cfg.Partial == PartialFail {
-				server.WriteError(w, federateStatus(err), err)
-				return false
+				status := federateStatus(err)
+				server.WriteError(w, status, err)
+				return status
 			}
 			g.noteStaleness(g.foldStaleness(time.Now()))
 		}
-		return true
+		return 0
 	}
 	g.staleServes.Add(1)
 	g.noteStaleness(age)
-	return true
+	return 0
 }
 
 // haveFold reports whether a scatter round has ever installed a fold to
@@ -159,14 +165,14 @@ func (g *Gateway) noteStaleness(age time.Duration) {
 	}
 }
 
-// setPushHeadersLocked stamps a push gateway's answer with the served
-// fold's staleness and per-peer epoch vector. Callers hold cacheMu.
+// setPushHeadersLocked stamps an answer with the served fold's staleness
+// and per-peer epoch vector. Callers hold cacheMu.
 func (g *Gateway) setPushHeadersLocked(w http.ResponseWriter) {
-	if !g.cfg.Push {
-		return
-	}
+	// Rounded up: a fold that is not continuously validated must not
+	// claim 0, however recently it was installed.
 	age := g.foldStaleness(time.Now())
-	w.Header().Set(StalenessHeader, strconv.FormatInt(age.Milliseconds(), 10))
+	ms := (age + time.Millisecond - 1).Milliseconds()
+	w.Header().Set(StalenessHeader, strconv.FormatInt(ms, 10))
 	parts := make([]string, len(g.mergedEpochs))
 	for i, ep := range g.mergedEpochs {
 		parts[i] = strconv.FormatInt(ep, 10)
@@ -196,8 +202,7 @@ func (g *Gateway) refresher() {
 		case <-g.refreshKick:
 		}
 		for g.dirtyFold() {
-			g.bgRefreshes.Add(1)
-			if err := g.refresh(ctx); err != nil {
+			if err := g.refresh(ctx, true); err != nil {
 				select {
 				case <-g.stop:
 					return
@@ -307,7 +312,10 @@ func (g *Gateway) watchPeer(i int, p *peer) {
 }
 
 // watchOnce runs one /watch long-poll against the peer, updating
-// *lastEpoch and marking the cache dirty when the peer's epoch moved.
+// *lastEpoch and marking the cache dirty when the peer's epoch moved past
+// the one the installed fold was built from (a push the last round
+// already fetched — typically the first poll's answer after a cold
+// fold — would only trigger a redundant round).
 // fallback reports a 404 — the peer predates /watch. wid, when
 // non-empty, is the watcher's trace ID, propagated on the poll.
 func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback bool, err error) {
@@ -343,8 +351,12 @@ func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback boo
 	p.recordSuccess()
 	if wr.Epoch > *lastEpoch {
 		*lastEpoch = wr.Epoch
+		if wr.Epoch > p.foldEpoch.Load() {
+			g.markDirty()
+		}
+		// Counted after the dirty mark: whoever sees the push in
+		// watch_pushes also sees the fold it dirtied.
 		g.watchPushes.Add(1)
-		g.markDirty()
 	}
 	return false, nil
 }

@@ -71,8 +71,6 @@ func (g *Gateway) initTelemetry() {
 			}
 			return float64(up)
 		})
-	gauge("push", "1 if push-based epoch propagation is enabled.",
-		func() float64 { return b01(g.cfg.Push) })
 	gauge("replicas", "Configured replication factor (owners per routing cell).",
 		func() float64 { return float64(g.cfg.Replicas) })
 	gauge("quorum_ok", "1 while every routing cell has at least one live owner.",
@@ -123,9 +121,9 @@ func (g *Gateway) initTelemetry() {
 		func() float64 { return float64(g.watchPollFallbacks.Load()) })
 	counter("bg_refreshes_total", "Scatter rounds run by the background refresher.",
 		func() float64 { return float64(g.bgRefreshes.Load()) })
-	counter("stale_serves_total", "Push-mode queries answered from the cached fold.",
+	counter("stale_serves_total", "Queries answered from the cached fold.",
 		func() float64 { return float64(g.staleServes.Load()) })
-	counter("sync_refreshes_total", "Push-mode queries that paid a synchronous refresh.",
+	counter("sync_refreshes_total", "Queries that paid a synchronous refresh.",
 		func() float64 { return float64(g.syncRefreshes.Load()) })
 	gauge("max_staleness_seconds", "Maximum fold staleness observed at serve time.",
 		func() float64 { return float64(g.maxStalenessNs.Load()) / 1e9 })
@@ -220,7 +218,5 @@ func (g *Gateway) slowContextLocked(span *telemetry.Span, e *telemetry.SlowEntry
 		return
 	}
 	e.EpochVector = append([]int64(nil), g.mergedEpochs...)
-	if g.cfg.Push {
-		e.StalenessMS = float64(g.foldStaleness(time.Now())) / 1e6
-	}
+	e.StalenessMS = float64(g.foldStaleness(time.Now())) / 1e6
 }

@@ -20,12 +20,11 @@ var ErrNotSerializable = errors.New("core: not serializable")
 const samplerMagic = "l0s1"
 
 // samplerState is the gob wire form of a Sampler — the retired v1
-// format, kept so old checkpoints keep decoding (and regenerable via
-// MarshalSamplerV1 for compatibility tests). Only dynamic state is
-// stored: the grid, hash function and RNG are all derived deterministically
-// from Options.Seed, so Options plus the entry list reconstructs the
-// sketch exactly. Cached cell keys and adjacency lists are recomputed on
-// load.
+// format, kept so old checkpoints keep decoding (nothing writes it any
+// more). Only dynamic state is stored: the grid, hash function and RNG
+// are all derived deterministically from Options.Seed, so Options plus
+// the entry list reconstructs the sketch exactly. Cached cell keys and
+// adjacency lists are recomputed on load.
 type samplerState struct {
 	Opts    Options
 	R       uint64
@@ -116,37 +115,6 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 		}
 	}
 	return w.buf, nil
-}
-
-// MarshalSamplerV1 serializes the sketch in the retired gob wire format.
-// Kept for backward-compatibility tests and the gob-vs-binary benchmark;
-// new code uses MarshalBinary. UnmarshalSampler reads both.
-func MarshalSamplerV1(s *Sampler) ([]byte, error) {
-	if s.opts.Space != nil {
-		return nil, fmt.Errorf("%w: sketch was built with a custom Space", ErrNotSerializable)
-	}
-	st := samplerState{
-		Opts:    s.opts,
-		R:       s.r,
-		N:       s.n,
-		Rehash:  s.rehash,
-		Peak:    s.space.Peak(),
-		Entries: make([]entryState, len(s.entries)),
-	}
-	for i, e := range s.entries {
-		st.Entries[i] = entryState{
-			Rep:      e.rep,
-			Accepted: e.accepted,
-			Stamp:    e.stamp,
-			Count:    e.count,
-			Pick:     e.pick,
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encoding sketch: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // UnmarshalSampler reconstructs a Sampler from MarshalBinary output —

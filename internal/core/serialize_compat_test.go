@@ -3,14 +3,18 @@ package core
 // Equivalence suite for the two sampler wire formats: the current
 // length-prefixed binary format and the retired gob format must restore
 // identical sketch state, and UnmarshalSampler/UnmarshalWindowSampler
-// must keep accepting both.
+// must keep accepting both. Nothing writes gob any more, so the gob side
+// is the committed version-1 fixtures of pkg/sketch/testdata — written
+// by the retired encoders and never regenerated.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/window"
 )
 
 // compatStream feeds n deterministic well-separated groups with some
@@ -24,27 +28,36 @@ func compatStream(n int) []geom.Point {
 	return pts
 }
 
-// TestSamplerGobBinaryEquivalence marshals the same sampler through both
-// formats and requires both restores to agree on every observable.
-func TestSamplerGobBinaryEquivalence(t *testing.T) {
-	opts := Options{Alpha: 1, Dim: 2, Seed: 31, StreamBound: 1 << 12, RandomRepresentative: true}
-	s, err := NewSampler(opts)
+// v1Payload reads a committed version-1 sketch envelope and returns its
+// gob payload: the envelope is the 4-byte magic "skch", the version byte
+// (1 for the gob era) and the kind byte.
+func v1Payload(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "..", "pkg", "sketch", "testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ProcessBatch(compatStream(200))
+	if len(blob) < 6 || string(blob[:4]) != "skch" || blob[4] != 1 {
+		t.Fatalf("%s is not a version-1 envelope — fixtures must never be regenerated", name)
+	}
+	return blob[6:]
+}
 
-	gobBlob, err := MarshalSamplerV1(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binBlob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+// TestSamplerGobBinaryEquivalence restores a gob-era sampler, re-encodes
+// it in the binary format, and requires both restores to agree on every
+// observable.
+func TestSamplerGobBinaryEquivalence(t *testing.T) {
+	gobBlob := v1Payload(t, "envelope_v1_l0.bin")
+	if bytes.HasPrefix(gobBlob, []byte(samplerMagic)) {
+		t.Fatal("fixture payload carries the binary magic, want gob")
 	}
 	fromGob, err := UnmarshalSampler(gobBlob)
 	if err != nil {
 		t.Fatalf("gob restore: %v", err)
+	}
+	binBlob, err := fromGob.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
 	fromBin, err := UnmarshalSampler(binBlob)
 	if err != nil {
@@ -81,26 +94,17 @@ func TestSamplerGobBinaryEquivalence(t *testing.T) {
 // TestWindowSamplerGobBinaryEquivalence is the window-family counterpart,
 // covering the expiry stamps, level structure, and reservoir skylines.
 func TestWindowSamplerGobBinaryEquivalence(t *testing.T) {
-	opts := Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 12, RandomRepresentative: true}
-	ws, err := NewWindowSampler(opts, window.Window{Kind: window.Time, W: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range compatStream(300) {
-		ws.ProcessAt(p, int64(i/20+1))
-	}
-
-	gobBlob, err := MarshalWindowSamplerV1(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binBlob, err := ws.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	gobBlob := v1Payload(t, "envelope_v1_windowl0.bin")
+	if bytes.HasPrefix(gobBlob, []byte(windowSamplerMagic)) {
+		t.Fatal("fixture payload carries the binary magic, want gob")
 	}
 	fromGob, err := UnmarshalWindowSampler(gobBlob)
 	if err != nil {
 		t.Fatalf("gob restore: %v", err)
+	}
+	binBlob, err := fromGob.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
 	fromBin, err := UnmarshalWindowSampler(binBlob)
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 const windowSamplerMagic = "l0w1"
 
 // windowSamplerState is the gob wire form of a WindowSampler — the
-// retired v1 format, kept for decoding old blobs (and regenerable via
-// MarshalWindowSamplerV1 for compatibility tests). As with samplerState,
-// only dynamic state is stored: grid, hash function and RNG are
-// re-derived from Options.Seed, and cached cell keys and adjacency lists
-// are recomputed on load. The level structure itself is derived from the
+// retired v1 format, kept for decoding old blobs (nothing writes it any
+// more). As with samplerState, only dynamic state is stored: grid, hash
+// function and RNG are re-derived from Options.Seed, and cached cell
+// keys and adjacency lists are recomputed on load. The level structure itself is derived from the
 // window width, so the per-level entry lists are the whole expiry state.
 type windowSamplerState struct {
 	Opts        Options
@@ -130,56 +129,6 @@ func (ws *WindowSampler) MarshalBinary() ([]byte, error) {
 		}
 	}
 	return w.buf, nil
-}
-
-// MarshalWindowSamplerV1 serializes the window sampler in the retired
-// gob wire format. Kept for backward-compatibility tests and the
-// gob-vs-binary benchmark; new code uses MarshalBinary.
-// UnmarshalWindowSampler reads both.
-func MarshalWindowSamplerV1(ws *WindowSampler) ([]byte, error) {
-	if err := ws.checkWindowSerializable(); err != nil {
-		return nil, err
-	}
-	st := windowSamplerState{
-		Opts:        ws.opts,
-		Win:         ws.win,
-		N:           ws.n,
-		Now:         ws.now,
-		Latest:      ws.latest,
-		LatestStamp: ws.latestStamp,
-		Overflow:    ws.overflowErrors,
-		SplitFail:   ws.splitFailures,
-		Peak:        ws.space.Peak(),
-		Levels:      make([][]windowEntryState, len(ws.levels)),
-	}
-	for l, lv := range ws.levels {
-		states := make([]windowEntryState, 0, lv.order.Len())
-		for el := lv.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			es := windowEntryState{
-				Rep:       e.rep,
-				Accepted:  e.accepted,
-				Stamp:     e.stamp,
-				Count:     e.count,
-				Pick:      e.pick,
-				Last:      e.last,
-				LastStamp: e.lastStamp,
-			}
-			if len(e.wres) > 0 {
-				es.Wres = make([]windowPickState, len(e.wres))
-				for i, wp := range e.wres {
-					es.Wres[i] = windowPickState{Stamp: wp.stamp, Prio: wp.prio, P: wp.p}
-				}
-			}
-			states = append(states, es)
-		}
-		st.Levels[l] = states
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encoding window sketch: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // UnmarshalWindowSampler reconstructs a WindowSampler from MarshalBinary

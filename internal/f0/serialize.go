@@ -19,10 +19,9 @@ const (
 )
 
 // medianState is the gob wire form of a Median estimator — the retired
-// v1 format, kept for decoding old blobs (and regenerable via
-// MarshalMedianV1 for compatibility tests): the per-copy samplers carry
-// their own options (including the derived seeds), so only epsilon needs
-// to be stored alongside the copy blobs.
+// v1 format, kept for decoding old blobs (nothing writes it any more):
+// the per-copy samplers carry their own options (including the derived
+// seeds), so only epsilon needs to be stored alongside the copy blobs.
 type medianState struct {
 	Eps    float64
 	Copies [][]byte
@@ -77,26 +76,6 @@ func (m *Median) MarshalBinary() ([]byte, error) {
 	return appendBlobs(out, blobs), nil
 }
 
-// MarshalMedianV1 serializes the estimator stack in the retired gob wire
-// format (gob framing over gob copy blobs). Kept for backward-
-// compatibility tests; new code uses MarshalBinary. UnmarshalMedian
-// reads both.
-func MarshalMedianV1(m *Median) ([]byte, error) {
-	st := medianState{Eps: m.copies[0].eps, Copies: make([][]byte, len(m.copies))}
-	for i, c := range m.copies {
-		blob, err := core.MarshalSamplerV1(c.s)
-		if err != nil {
-			return nil, fmt.Errorf("f0: encoding copy %d: %w", i, err)
-		}
-		st.Copies[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("f0: encoding median: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // windowEstimatorState is the gob wire form of a WindowEstimator — the
 // retired v1 format, kept for decoding old blobs: the per-copy window
 // samplers carry their own options (including derived seeds) and window,
@@ -120,25 +99,6 @@ func (we *WindowEstimator) MarshalBinary() ([]byte, error) {
 		blobs[i] = blob
 	}
 	return appendBlobs(append([]byte(nil), windowEstimatorMagic...), blobs), nil
-}
-
-// MarshalWindowEstimatorV1 serializes the window-estimator stack in the
-// retired gob wire format. Kept for backward-compatibility tests; new
-// code uses MarshalBinary. UnmarshalWindowEstimator reads both.
-func MarshalWindowEstimatorV1(we *WindowEstimator) ([]byte, error) {
-	st := windowEstimatorState{Copies: make([][]byte, len(we.copies))}
-	for i, c := range we.copies {
-		blob, err := core.MarshalWindowSamplerV1(c)
-		if err != nil {
-			return nil, fmt.Errorf("f0: encoding window copy %d: %w", i, err)
-		}
-		st.Copies[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("f0: encoding window estimator: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // UnmarshalWindowEstimator reconstructs a WindowEstimator from

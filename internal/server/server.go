@@ -150,6 +150,11 @@ type Server struct {
 	watchChanged  atomic.Int64 // /watch answers that reported a newer epoch
 	watchTimeouts atomic.Int64 // /watch answers that timed out unchanged
 
+	// watchCtx is canceled by ReleaseWatches: parked /watch long-polls
+	// answer at once, and later ones never park.
+	watchCtx     context.Context
+	releaseWatch context.CancelFunc
+
 	sketchAbsorbs atomic.Int64 // POST /sketch envelopes folded into the engine (read repair)
 
 	reg  *telemetry.Registry // /metrics families; nil when NoMetrics
@@ -175,6 +180,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.WatchTimeout = 30 * time.Second
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
+	s.watchCtx, s.releaseWatch = context.WithCancel(context.Background())
 	s.initTelemetry()
 	s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /query", s.handleQuery)
@@ -192,6 +198,16 @@ func New(cfg Config) (*Server, error) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// ReleaseWatches answers every parked GET /watch long-poll at once with
+// the current epoch (changed=false), and makes later ones answer without
+// parking. Call it as graceful shutdown begins — e.g. through
+// http.Server.RegisterOnShutdown: Shutdown waits for active requests, and
+// a gateway's parked watch would otherwise hold it for up to
+// WatchTimeout, long enough to exhaust the shutdown deadline and skip
+// the final drain and checkpoint. Other requests are unaffected, so
+// in-flight ingest still completes. Idempotent.
+func (s *Server) ReleaseWatches() { s.releaseWatch() }
 
 // IngestResponse is the JSON body of a successful POST /ingest.
 type IngestResponse struct {
@@ -549,6 +565,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
+	defer context.AfterFunc(s.watchCtx, cancel)()
 	epoch := s.cfg.Engine.WaitEpoch(ctx, after)
 	changed := epoch > after
 	if changed {

@@ -117,7 +117,7 @@ func TestEndToEndIngestQueryCheckpointRestore(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "sketchd.ckpt")
-	ts, _ := newL0Server(t, opts, 4, ckpt)
+	ts, eng := newL0Server(t, opts, 4, ckpt)
 
 	// Concurrent ingest: each producer ships its slice in batches of 2500,
 	// alternating between the two wire formats.
@@ -170,6 +170,10 @@ func TestEndToEndIngestQueryCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An ingest is acknowledged once its points are enqueued; the shard
+	// workers fold them asynchronously. Drain so the workers' processed
+	// counter has caught up before it is checked.
+	eng.Drain()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)

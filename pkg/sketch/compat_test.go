@@ -12,10 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/f0"
-	"repro/internal/window"
 )
 
 // v1Manifest loads the recorded expectations for the v1 fixtures.
@@ -132,44 +128,33 @@ func TestDeserializeV1WindowL0Fixture(t *testing.T) {
 // payload wrapped in a v1 envelope, both decode — the envelope version
 // advertises the writer, the per-format magic decides the codec.
 func TestV1GobBlobsDecodeInsideCurrentEnvelope(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: 1 << 12}
-	l0, err := NewL0(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		l0.Process([]float64{float64(i * 10), 1})
-	}
-	gobPayload, err := core.MarshalSamplerV1(l0.Sampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := encodeEnvelope(KindL0, gobPayload)
-	sk, err := Deserialize(wrapped)
+	want := v1Manifest(t)["l0"]
+	gobPayload := readFixture(t, "envelope_v1_l0.bin")[envelopeHeaderLen:]
+	sk, err := Deserialize(encodeEnvelope(KindL0, gobPayload))
 	if err != nil {
 		t.Fatalf("gob payload under v2 envelope: %v", err)
-	}
-	want, err := l0.Query()
-	if err != nil {
-		t.Fatal(err)
 	}
 	got, err := sk.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("estimate %g, want %g", got.Estimate, want.Estimate)
+	if got.Estimate != want {
+		t.Fatalf("estimate %g, want %g", got.Estimate, want)
 	}
 
-	binPayload, err := l0.Sampler().MarshalBinary()
+	binPayload, err := sk.(*L0).Sampler().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1env := append([]byte(nil), envelopeMagic[:]...)
 	v1env = append(v1env, 1, byte(KindL0))
 	v1env = append(v1env, binPayload...)
-	if _, err := Deserialize(v1env); err != nil {
+	fromBin, err := Deserialize(v1env)
+	if err != nil {
 		t.Fatalf("binary payload under v1 envelope: %v", err)
+	}
+	if got, err := fromBin.Query(); err != nil || got.Estimate != want {
+		t.Fatalf("binary re-encoding estimates %v (err %v), want %g", got.Estimate, err, want)
 	}
 
 	// Future versions stay rejected.
@@ -181,36 +166,32 @@ func TestV1GobBlobsDecodeInsideCurrentEnvelope(t *testing.T) {
 	}
 }
 
-// TestWindowEstimatorV1Gob round-trips the windowed estimator stack
-// through the retired gob format and requires the same estimate as the
-// binary format.
+// TestWindowEstimatorV1Gob restores the windowed estimator stack from
+// its gob-era payload inside a current envelope, re-encodes it in the
+// binary format, and requires both restores to hold the recorded
+// estimate.
 func TestWindowEstimatorV1Gob(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 11, StreamBound: 1 << 12}
-	win := window.Window{Kind: window.Time, W: 16}
-	wf0, err := NewWindowF0(opts, win, 0.25)
+	want := v1Manifest(t)["windowf0"]
+	gobPayload := readFixture(t, "envelope_v1_windowf0.bin")[envelopeHeaderLen:]
+	fromGob, err := Deserialize(encodeEnvelope(KindWindowF0, gobPayload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		wf0.ProcessAt([]float64{float64(i%50) * 10, 2}, int64(i/10+1))
-	}
-	want, err := wf0.Query()
+	blob, err := fromGob.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobBlob, err := f0.MarshalWindowEstimatorV1(wf0.we)
+	fromBin, err := Deserialize(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Deserialize(encodeEnvelope(KindWindowF0, gobBlob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("gob-restored estimate %g, want %g", got.Estimate, want.Estimate)
+	for name, sk := range map[string]Sketch{"gob": fromGob, "binary": fromBin} {
+		got, err := sk.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Estimate != want {
+			t.Fatalf("%s-restored estimate %g, want %g", name, got.Estimate, want)
+		}
 	}
 }

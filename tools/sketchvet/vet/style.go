@@ -1,11 +1,9 @@
 package vet
 
-// Style analyzers ported from tools/lintdoc so CI has one analysis
-// entry point over the whole module: gofmt (every file, tests included,
-// must match canonical formatting) and doccomment (every exported
-// identifier must carry a doc comment). The DocIssues and Unformatted
-// helpers are exported because the lintdoc binary remains available as
-// a thin wrapper with its original exit-code contract.
+// Style analyzers, so CI has one analysis entry point over the whole
+// module: gofmt (every file, tests included, must match canonical
+// formatting) and doccomment (every exported identifier must carry a
+// doc comment).
 
 import (
 	"bytes"
@@ -32,7 +30,7 @@ func Gofmt() *Analyzer {
 					out = append(out, findingAt("gofmt", path, 1, err.Error()))
 					continue
 				}
-				dirty, err := Unformatted(src)
+				dirty, err := unformatted(src)
 				if err != nil {
 					out = append(out, findingAt("gofmt", path, 1, err.Error()))
 					continue
@@ -46,9 +44,9 @@ func Gofmt() *Analyzer {
 	}
 }
 
-// Unformatted reports whether src differs from its canonical gofmt
+// unformatted reports whether src differs from its canonical gofmt
 // rendering.
-func Unformatted(src []byte) (bool, error) {
+func unformatted(src []byte) (bool, error) {
 	formatted, err := format.Source(src)
 	if err != nil {
 		return false, err
@@ -66,34 +64,23 @@ func DocComment() *Analyzer {
 		Run: func(_ *Context, pkg *Package) []Finding {
 			var out []Finding
 			for _, file := range pkg.Files {
-				for _, issue := range DocIssues(pkg.Fset, file) {
-					out = append(out, findingAt("doccomment", issue.Pos.Filename, issue.Pos.Line,
-						"missing doc comment: "+issue.Name))
-				}
+				out = append(out, docIssues(pkg.Fset, file)...)
 			}
 			return out
 		},
 	}
 }
 
-// DocIssue is one undocumented exported identifier.
-type DocIssue struct {
-	// Pos locates the identifier's declaration.
-	Pos token.Position
-	// Name renders the identifier lintdoc-style: "func F", "method
-	// (*T).M", "type T", "const C", "var V".
-	Name string
-}
-
-// DocIssues returns every undocumented exported identifier in one
-// parsed file. A doc comment on a grouped const/var/type declaration
-// covers all of its specs, matching godoc rendering.
-func DocIssues(fset *token.FileSet, file *ast.File) []DocIssue {
-	var out []DocIssue
+// docIssues returns a finding for every undocumented exported
+// identifier in one parsed file, named "func F", "method (*T).M",
+// "type T", "const C" or "var V". A doc comment on a grouped
+// const/var/type declaration covers all of its specs, matching godoc
+// rendering.
+func docIssues(fset *token.FileSet, file *ast.File) []Finding {
+	var out []Finding
 	report := func(pos token.Pos, name string) {
 		p := fset.Position(pos)
-		p.Filename = filepath.ToSlash(p.Filename)
-		out = append(out, DocIssue{Pos: p, Name: name})
+		out = append(out, findingAt("doccomment", p.Filename, p.Line, "missing doc comment: "+name))
 	}
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {

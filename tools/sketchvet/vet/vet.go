@@ -3,8 +3,7 @@
 // source-importer type-checking — no golang.org/x/tools) running the
 // repository's invariant checks over whole packages. The analyzers and
 // the pragmas they honor (//sketch:hotpath, //sketch:ignore) are
-// documented in docs/static-analysis.md; tools/lintdoc reuses the
-// gofmt and doc-comment checks so the two binaries cannot drift.
+// documented in docs/static-analysis.md.
 package vet
 
 import (
