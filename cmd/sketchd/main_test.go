@@ -67,9 +67,10 @@ func TestShutdownReleasesParkedWatch(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 
-	// Park a watch for an epoch the daemon never reaches.
+	// Park a watch at the current epoch (one ingest): no further ingest
+	// ever wakes it.
 	go func() {
-		if resp, err := http.Get(base + "/watch?epoch=1000000&timeout=60s"); err == nil {
+		if resp, err := http.Get(base + "/watch?epoch=1&timeout=60s"); err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}

@@ -149,7 +149,7 @@ func TestFederatedCachePartialKey(t *testing.T) {
 		c.MaxStale = time.Nanosecond            // ...and from then on every query refreshes synchronously
 	})
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 
 	full := waitFolded(t, ts.URL, peers)
@@ -192,7 +192,7 @@ func TestGatewaySketchConditionalGet(t *testing.T) {
 	peers := newTestCluster(t, opts, 2, 1)
 	gw, ts := newTestGateway(t, opts, peers, nil)
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 	waitFolded(t, ts.URL, peers)
 
@@ -246,7 +246,7 @@ func TestStackedGatewayCache(t *testing.T) {
 	peers := newTestCluster(t, opts, 2, 1)
 	low, lowTS := newTestGateway(t, opts, peers, nil)
 	for _, p := range pts {
-		peers[low.peerIndex(p)].eng.Process(p)
+		peers[low.placement.Primary(low.cfg.Router.Route(p))].eng.Process(p)
 	}
 	waitFolded(t, lowTS.URL, peers)
 	_, topTS := newTestGateway(t, opts, nil, func(c *Config) {

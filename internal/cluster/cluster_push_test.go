@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/server"
 )
 
 // waitFor polls cond every 20ms until it holds or the deadline expires.
@@ -438,5 +440,60 @@ func TestStalenessHeaderNeverZeroWhileDirty(t *testing.T) {
 	g.setPushHeadersLocked(rec)
 	if got := rec.Header().Get(StalenessHeader); got == "0" {
 		t.Fatal("dirty fold reported staleness 0")
+	}
+}
+
+// TestPushPeerRestartBehindSameURL pins that a peer restarted behind the
+// same URL is pushed like any other. The watcher last saw the old daemon
+// at epoch 200; the new one starts from 0, so a /watch that parked until
+// its epoch passed 200 would leave the gateway serving the old fold as
+// fresh (staleness 0) for a whole WatchTimeout. The new epoch must show
+// in the fold within 2s at the default WatchTimeout.
+func TestPushPeerRestartBehindSameURL(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 43, StreamBound: 1 << 12, Kappa: 128}
+	newDaemon := func() (*engine.Engine, *server.Server) {
+		eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		srv, err := server.New(server.Config{Engine: eng, Dim: opts.Dim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, srv
+	}
+	oldEng, oldSrv := newDaemon()
+	for i := range 200 {
+		oldEng.Process(geom.Point{float64(i%20) * 10, float64(i/20) * 10})
+	}
+	var current atomic.Pointer[server.Server]
+	current.Store(oldSrv)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	peer := &testPeer{eng: oldEng, ts: ts}
+	_, gwTS := newTestGateway(t, opts, []*testPeer{peer}, nil)
+	waitFolded(t, gwTS.URL, []*testPeer{peer})
+
+	// Restart: the new daemon takes over the URL, and the old one releases
+	// its parked watches the way sketchd does on SIGTERM.
+	newEng, newSrv := newDaemon()
+	current.Store(newSrv)
+	oldSrv.ReleaseWatches()
+	for i := range 5 {
+		newEng.ProcessBatch([]geom.Point{{float64(i) * 10, 500}})
+	}
+
+	want := strconv.FormatInt(newEng.Epoch(), 10)
+	var q QueryResponse
+	waitFor(t, 2*time.Second, "the fold to show the restarted peer's epoch", func() bool {
+		var hdr http.Header
+		q, hdr = getQuery(t, gwTS.URL)
+		return hdr.Get(StalenessHeader) == "0" && hdr.Get(EpochVectorHeader) == want
+	})
+	if q.Estimate != 5 {
+		t.Fatalf("estimate %g after the restart, want the new daemon's 5 groups", q.Estimate)
 	}
 }

@@ -397,3 +397,57 @@ func TestReplicatedIngestBucketsMatchPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedIngestAllOwnersDown: under Replicas 2, an ingest whose
+// cells have lost both owners reached no live owner, so it answers 502 —
+// the same rule that fails any single-owner forward at Replicas 1 — and
+// the sub-batches both owners missed are queued as hints for each.
+func TestReplicatedIngestAllOwnersDown(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 67, StreamBound: 1 << 12, Kappa: 64}
+	pts := stream(100, 3, 89)
+	peers := newTestCluster(t, opts, 3, 1)
+	var down atomic.Bool
+	urls := []string{
+		forwardProxy(t, peers[0].ts.URL, outage(&down)).URL,
+		forwardProxy(t, peers[1].ts.URL, outage(&down)).URL,
+		peers[2].ts.URL,
+	}
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = urls
+		c.Replicas = 2
+	})
+
+	var batch []geom.Point // every point whose cell peers 0 and 1 own
+	for _, p := range pts {
+		if !gw.placement.Owns(gw.cfg.Router.Route(p), 2) {
+			batch = append(batch, p)
+		}
+	}
+	if len(batch) == 0 {
+		t.Fatal("no cell is owned by peers 0 and 1 alone")
+	}
+
+	down.Store(true)
+	resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
+		bytes.NewReader(pointio.AppendBinaryBatch(nil, batch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustJSON[server.ErrorResponse](t, resp, http.StatusBadGateway)
+
+	for i, want := range []int{1, 1, 0} {
+		q := gw.handoff[i]
+		q.mu.Lock()
+		n, queued := len(q.hints), 0
+		for _, h := range q.hints {
+			queued += h.pts
+		}
+		q.mu.Unlock()
+		if n != want || (want > 0 && queued != len(batch)) {
+			t.Fatalf("peer %d holds %d hints of %d points, want %d of %d", i, n, queued, want, len(batch))
+		}
+	}
+	if st := gwStats(t, ts.URL); st.HandoffEnqueued != 2 || st.HandoffDepth != 2 {
+		t.Fatalf("handoff_enqueued %d, handoff_depth %d, want 2 and 2", st.HandoffEnqueued, st.HandoffDepth)
+	}
+}

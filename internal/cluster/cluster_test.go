@@ -393,7 +393,7 @@ func TestClusterPartialFailure(t *testing.T) {
 	// Seed every peer directly (via the gateway's own routing function) so
 	// the dead peer's points are genuinely missing from degraded answers.
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 
 	full := waitFolded(t, degradeTS.URL, peers)
@@ -434,13 +434,7 @@ func TestClusterPartialFailure(t *testing.T) {
 
 	// Routed ingest for the dead peer's cells fails loudly; other points
 	// still land (retry of the whole batch is documented as safe).
-	var deadBatch []geom.Point
-	for _, p := range pts {
-		if gw.peerIndex(p) == 1 {
-			deadBatch = append(deadBatch, p)
-			break
-		}
-	}
+	deadBatch := []geom.Point{ownedBy(t, gw, pts, 1)}
 	resp, err := http.Post(degradeTS.URL+"/ingest", pointio.BinaryContentType,
 		bytes.NewReader(pointio.AppendBinaryBatch(nil, deadBatch)))
 	if err != nil {

@@ -6,8 +6,9 @@
 //
 //   - Routed ingest: POST /ingest batches are partitioned by the hash of
 //     each point's routing-grid cell (engine.Router — the same grid the
-//     peers shard by), so every point lands on exactly one peer and a
-//     near-duplicate group lands together with high probability.
+//     peers shard by), so every point lands on its cell's Replicas owners
+//     (one peer by default) and a near-duplicate group lands together
+//     with high probability (see ingest.go).
 //   - Federated query: GET /query (and GET /sketch) answers from the
 //     cached fold of every live peer's serialized merged snapshot,
 //     sketch.Deserialized and folded with Mergeable.Merge; boundary
@@ -613,13 +614,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 		MaxStalenessMS:     float64(g.maxStalenessNs.Load()) / 1e6,
 	}
 	for i, p := range g.peers {
-		up := p.up()
-		if up {
-			resp.PeersUp++
-		}
 		resp.Peers[i] = PeerStatus{
 			URL:                 p.url,
-			Up:                  up,
+			Up:                  p.up(),
 			Requests:            p.requests.Load(),
 			Failures:            p.failures.Load(),
 			ConsecutiveFailures: p.consec.Load(),
@@ -627,20 +624,27 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 			WatchOK:             p.watchOK.Load(),
 		}
 	}
-	resp.QuorumOK = resp.PeersUp > 0 && len(g.peers)-resp.PeersUp < g.cfg.Replicas
+	resp.PeersUp = g.peersUp()
+	resp.QuorumOK = g.quorumOK(resp.PeersUp)
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
-// quorumOK reports whether every routing cell has at least one live
-// owner: each cell's Replicas owners are distinct peers, so as long as
-// fewer than Replicas peers are down no cell can have lost all of them.
-func (g *Gateway) quorumOK() bool {
+// peersUp counts the peers whose circuit breaker is closed.
+func (g *Gateway) peersUp() int {
 	up := 0
 	for _, p := range g.peers {
 		if p.up() {
 			up++
 		}
 	}
+	return up
+}
+
+// quorumOK reports whether, with up peers live, every routing cell has
+// at least one live owner: each cell's Replicas owners are distinct
+// peers, so as long as fewer than Replicas peers are down no cell can
+// have lost all of them.
+func (g *Gateway) quorumOK(up int) bool {
 	return up > 0 && len(g.peers)-up < g.cfg.Replicas
 }
 
@@ -660,12 +664,7 @@ func (g *Gateway) quorumOK() bool {
 // detection. A non-empty hinted-handoff backlog is surfaced on its own
 // line in every state.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	up := 0
-	for _, p := range g.peers {
-		if p.up() {
-			up++
-		}
-	}
+	up := g.peersUp()
 	down := len(g.peers) - up
 	w.Header().Set("Content-Type", "text/plain")
 	version, commit := telemetry.BuildInfo()

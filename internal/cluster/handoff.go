@@ -17,14 +17,13 @@ package cluster
 // overlap each other and live ingest freely.
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pointio"
-	"repro/internal/server"
 	"repro/pkg/sketch"
 )
 
@@ -89,20 +88,6 @@ func (g *Gateway) enqueueHint(i int, body []byte, hdr http.Header, pts int) bool
 	return true
 }
 
-// hintBucket packs a peer's undelivered points into forward-sized
-// packed-binary bodies and queues them all (cold path: the peer is
-// already down or failing, so the bodies are built fresh rather than
-// borrowed from the forward pool).
-func (g *Gateway) hintBucket(i int, bucket []geom.Point, hdr http.Header) {
-	maxPts := max(forwardChunkBytes/(8*g.cfg.Dim), 1)
-	for len(bucket) > 0 {
-		n := min(len(bucket), maxPts)
-		chunk := bucket[:n]
-		bucket = bucket[n:]
-		g.enqueueHint(i, pointio.AppendBinaryBatch(nil, chunk), hdr, n)
-	}
-}
-
 // handoffDrainer is the background goroutine behind hinted handoff: on
 // every tick (or enqueue kick) it tries to drain each peer's queue, and
 // read-repairs any peer it observes transitioning from down to up. It
@@ -151,24 +136,20 @@ func (g *Gateway) drainPeer(i int, p *peer) {
 		if !p.admit(time.Now(), g.cfg.DownCooldown) {
 			return
 		}
-		blob, _, _, err := g.do(g.stopCtx, p, http.MethodPost, "/ingest",
-			pointio.BinaryContentType, h.body, h.hdr)
-		if err != nil {
+		err := g.forwardChunk(g.stopCtx, p, h.body, h.hdr, h.pts)
+		if err != nil && !errors.Is(err, errShortAck) {
 			return
 		}
-		var ir server.IngestResponse
-		if jerr := json.Unmarshal(blob, &ir); jerr != nil || ir.Ingested != h.pts {
+		q.pop()
+		g.handoffDepth.Add(-1)
+		if err != nil {
 			// The peer is alive but rejected the replay — a deterministic
 			// answer that will not change on retry, so dropping the hint is
 			// the only option that cannot wedge the whole queue behind a
 			// poison body.
-			q.pop()
-			g.handoffDepth.Add(-1)
 			g.handoffDropped.Add(1)
 			continue
 		}
-		q.pop()
-		g.handoffDepth.Add(-1)
 		g.handoffDrained.Add(1)
 		g.pointsRouted.Add(int64(h.pts))
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,23 +16,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
-
-// peerIndex maps a point to its primary home peer. The routing-cell hash
-// is bit-mixed before the modular reduction (inside engine.Placement):
-// the peers reduce the very same cell hash mod their internal shard
-// count, and without the mix a peer that only ever receives hashes ≡ i
-// (mod peers) would feed only the shards with indices in that residue
-// class whenever gcd(peers, shards) > 1, idling the rest. Mixing
-// decorrelates the two reductions while still sending every point of one
-// routing cell — hence one near-duplicate group, with high probability —
-// to one peer. With Replicas > 1 the cell's remaining owners come from
-// placement.Owners; the primary is unchanged, so enabling replication
-// never moves the first copy of any point.
-//
-//sketch:hotpath
-func (g *Gateway) peerIndex(p geom.Point) int {
-	return g.placement.Primary(g.cfg.Router.Route(p))
-}
 
 // forwardChunkBytes caps one forwarded packed-binary sub-batch body —
 // half the peers' default 64 MiB MaxBodyBytes, so an accepted gateway
@@ -56,16 +40,16 @@ func putForwardBuf(b []byte) {
 }
 
 // handleIngest routes a batch across the fleet: each point is assigned to
-// the owners of its routing cell — exactly one peer without replication,
-// all R owners with Replicas > 1 — and the per-peer sub-batches are
-// forwarded in parallel in the packed-binary format. Without replication
-// any peer failure fails the whole request with 502; with replication the
-// request succeeds as long as every point reached at least one live owner
-// (fewer than Replicas distinct peers failed), and the sub-batches a
-// failed replica missed are queued for hinted handoff instead. Either
-// way, sub-batches already delivered stay delivered, and retrying the
-// full batch is safe: re-ingested points are near-duplicates of
-// themselves and collapse in the sketches.
+// the Replicas owners of its routing cell (placement.Owners; at the
+// default Replicas 1 that is the cell's single primary peer), and the
+// per-peer sub-batches are forwarded in parallel in the packed-binary
+// format. The request succeeds as long as every point reached at least
+// one live owner — fewer than Replicas distinct peers failed — and
+// answers 502 otherwise; without replication that is any failure. With
+// replication the sub-batches a failed owner missed are queued for
+// hinted handoff. Either way, sub-batches already delivered stay
+// delivered, and retrying the full batch is safe: re-ingested points are
+// near-duplicates of themselves and collapse in the sketches.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
@@ -86,22 +70,13 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := time.Now()
 	buckets := make([][]geom.Point, len(g.peers))
-	if g.cfg.Replicas > 1 {
-		var ob [engine.MaxReplicas]int
-		copies := 0
-		for _, p := range pts {
-			for _, i := range g.placement.Owners(g.cfg.Router.Route(p), ob[:0]) {
-				buckets[i] = append(buckets[i], p)
-				copies++
-			}
-		}
-		g.replicaFanout.Add(int64(copies - len(pts)))
-	} else {
-		for _, p := range pts {
-			i := g.peerIndex(p)
+	var ob [engine.MaxReplicas]int
+	for _, p := range pts {
+		for _, i := range g.placement.Owners(g.cfg.Router.Route(p), ob[:0]) {
 			buckets[i] = append(buckets[i], p)
 		}
 	}
+	g.replicaFanout.Add(int64((g.cfg.Replicas - 1) * len(pts)))
 	telemetry.Observe(g.tel.route, span, "route", time.Since(tr))
 	// Windowed peers stamp ingest batches: forward the client's explicit
 	// stamp so every routed sub-batch lands with the same timestamp it
@@ -113,97 +88,40 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		stampHdr = http.Header{server.StampHeader: []string{v}}
 	}
 
-	replicated := g.cfg.Replicas > 1
-	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		failed     []string
-		failedPeer map[int]bool // distinct peer indices with undelivered sub-batches
-	)
-	if replicated {
-		failedPeer = make(map[int]bool)
-	}
+	// errs[i] is peer i's first forward failure; each goroutine writes
+	// only its own slot.
+	errs := make([]error, len(g.peers))
+	var wg sync.WaitGroup
 	tf := time.Now()
-	now := tf
 	for i, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		p := g.peers[i]
-		if !p.admit(now, g.cfg.DownCooldown) {
-			// Under mu: goroutines spawned for earlier buckets may already
-			// be appending their failures concurrently.
-			mu.Lock()
-			failed = append(failed, fmt.Sprintf("%s: down (circuit open)", p.url))
-			if replicated {
-				failedPeer[i] = true
-			}
-			mu.Unlock()
-			if replicated {
-				g.hintBucket(i, bucket, stampHdr)
-			}
+		if !p.admit(tf, g.cfg.DownCooldown) {
+			errs[i] = g.forwardBucket(ctx, i, bucket, stampHdr,
+				fmt.Errorf("%s: down (circuit open)", p.url))
 			continue
 		}
 		wg.Add(1)
-		go func(i int, p *peer, bucket []geom.Point) {
+		go func(i int, bucket []geom.Point) {
 			defer wg.Done()
-			// Forward in bounded chunks: a terse text body near the
-			// gateway's cap can expand several-fold when re-encoded as
-			// packed binary, so shipping a bucket whole could exceed the
-			// peer's own MaxBodyBytes deterministically. Chunks stay well
-			// under the peers' default cap.
-			maxPts := max(forwardChunkBytes/(8*g.cfg.Dim), 1)
-			for len(bucket) > 0 {
-				n := min(len(bucket), maxPts)
-				chunk := bucket[:n]
-				bucket = bucket[n:]
-				body := pointio.AppendBinaryBatch(getForwardBuf(), chunk)
-				blob, _, _, err := g.do(ctx, p, http.MethodPost, "/ingest",
-					pointio.BinaryContentType, body, stampHdr)
-				if err != nil {
-					// The buffer is NOT recycled on failure: a timed-out
-					// attempt's transport goroutine may still be reading it,
-					// and recycling would hand those bytes to another request
-					// mid-write. Dropped buffers are reclaimed by GC — which
-					// also makes the failed body safe to park in the hint
-					// queue as is.
-					mu.Lock()
-					failed = append(failed, err.Error())
-					if replicated {
-						failedPeer[i] = true
-					}
-					mu.Unlock()
-					if replicated {
-						g.enqueueHint(i, body, stampHdr, n)
-						g.hintBucket(i, bucket, stampHdr)
-					}
-					return
-				}
-				putForwardBuf(body)
-				var ir server.IngestResponse
-				if err := json.Unmarshal(blob, &ir); err != nil || ir.Ingested != n {
-					mu.Lock()
-					failed = append(failed, fmt.Sprintf("%s: peer accepted %d of %d points (%v)",
-						p.url, ir.Ingested, n, err))
-					if replicated {
-						failedPeer[i] = true
-					}
-					mu.Unlock()
-					return
-				}
-				g.pointsRouted.Add(int64(n))
-			}
-		}(i, p, bucket)
+			errs[i] = g.forwardBucket(ctx, i, bucket, stampHdr, nil)
+		}(i, bucket)
 	}
 	wg.Wait()
 	telemetry.Observe(g.tel.forward, span, "forward", time.Since(tf))
-	// Without replication any failure loses that peer's slice of the
-	// batch, so the whole request fails. With replication every point went
-	// to Replicas distinct owners: as long as fewer than Replicas distinct
-	// peers failed, each point reached at least one live owner — the
-	// ingest is durable, the missed copies sit in the handoff queues, and
-	// the request succeeds.
-	if len(failed) > 0 && (!replicated || len(failedPeer) >= g.cfg.Replicas) {
+	var failed []string
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err.Error())
+		}
+	}
+	// Every point went to Replicas distinct owners: while fewer than
+	// Replicas distinct peers failed, each point reached at least one live
+	// owner — the ingest is durable, any missed copies sit in the handoff
+	// queues, and the request succeeds.
+	if len(failed) >= g.cfg.Replicas {
 		server.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("cluster: ingest failed on %d peer(s) — retrying the whole batch is safe (duplicates collapse): %s",
 				len(failed), strings.Join(failed, "; ")))
@@ -221,4 +139,62 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		TotalPoints: g.pointsRouted.Load(),
 	})
 	g.finishRequest(span, g.tel.reqIngest, telemetry.SlowEntry{Path: "/ingest", Status: http.StatusOK}, t0)
+}
+
+// forwardBucket ships peer i's sub-batch in bounded chunks and returns
+// the first failure: err when the peer was already known to be down,
+// else the first chunk that failed. Chunks bound the body because a
+// terse text body near the gateway's cap can expand several-fold when
+// re-encoded as packed binary, so shipping a bucket whole could exceed
+// the peer's own MaxBodyBytes deterministically. From the first failure
+// on nothing more is sent; when handoff queues exist (Replicas > 1) the
+// failed chunk and every later one are queued as hints instead.
+func (g *Gateway) forwardBucket(ctx context.Context, i int, bucket []geom.Point, hdr http.Header, err error) error {
+	maxPts := max(forwardChunkBytes/(8*g.cfg.Dim), 1)
+	for len(bucket) > 0 {
+		n := min(len(bucket), maxPts)
+		chunk := bucket[:n]
+		bucket = bucket[n:]
+		var body []byte
+		if err == nil {
+			body = pointio.AppendBinaryBatch(getForwardBuf(), chunk)
+			if err = g.forwardChunk(ctx, g.peers[i], body, hdr, n); err == nil {
+				putForwardBuf(body)
+				g.pointsRouted.Add(int64(n))
+				continue
+			}
+			// The buffer is NOT recycled on failure: a timed-out attempt's
+			// transport goroutine may still be reading it, and recycling
+			// would hand those bytes to another request mid-write. Dropped
+			// buffers are reclaimed by GC — which also makes the failed
+			// body safe to park in the hint queue as is.
+		}
+		if g.handoff == nil {
+			return err
+		}
+		if body == nil {
+			body = pointio.AppendBinaryBatch(nil, chunk)
+		}
+		g.enqueueHint(i, body, hdr, n)
+	}
+	return err
+}
+
+// errShortAck marks a forward the peer answered but acknowledged with
+// fewer points than were sent — a deterministic rejection, not an
+// outage.
+var errShortAck = errors.New("peer accepted fewer points than sent")
+
+// forwardChunk POSTs one packed-binary /ingest body of n points to the
+// peer and checks that the peer acknowledged all n.
+func (g *Gateway) forwardChunk(ctx context.Context, p *peer, body []byte, hdr http.Header, n int) error {
+	blob, _, _, err := g.do(ctx, p, http.MethodPost, "/ingest", pointio.BinaryContentType, body, hdr)
+	if err != nil {
+		return err
+	}
+	var ir server.IngestResponse
+	if err := json.Unmarshal(blob, &ir); err != nil || ir.Ingested != n {
+		return fmt.Errorf("%s: %w: %d of %d (%v)", p.url, errShortAck, ir.Ingested, n, err)
+	}
+	return nil
 }

@@ -312,10 +312,12 @@ func (g *Gateway) watchPeer(i int, p *peer) {
 }
 
 // watchOnce runs one /watch long-poll against the peer, updating
-// *lastEpoch and marking the cache dirty when the peer's epoch moved past
-// the one the installed fold was built from (a push the last round
-// already fetched — typically the first poll's answer after a cold
-// fold — would only trigger a redundant round).
+// *lastEpoch and marking the cache dirty when the peer's epoch moved to
+// one other than the installed fold was built from (a push the last
+// round already fetched — typically the first poll's answer after a cold
+// fold — would only trigger a redundant round). Moved means differs, not
+// exceeds: a restarted peer answers at once with its new, lower epoch,
+// which must dirty the fold like any ingest.
 // fallback reports a 404 — the peer predates /watch. wid, when
 // non-empty, is the watcher's trace ID, propagated on the poll.
 func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback bool, err error) {
@@ -349,9 +351,9 @@ func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback boo
 		return false, fmt.Errorf("decoding watch response: %w", err)
 	}
 	p.recordSuccess()
-	if wr.Epoch > *lastEpoch {
+	if wr.Epoch != *lastEpoch {
 		*lastEpoch = wr.Epoch
-		if wr.Epoch > p.foldEpoch.Load() {
+		if wr.Epoch != p.foldEpoch.Load() {
 			g.markDirty()
 		}
 		// Counted after the dirty mark: whoever sees the push in

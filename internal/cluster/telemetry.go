@@ -62,19 +62,11 @@ func (g *Gateway) initTelemetry() {
 	gauge("peers", "Configured fleet size.",
 		func() float64 { return float64(len(g.peers)) })
 	gauge("peers_up", "Peers whose circuit breaker is closed.",
-		func() float64 {
-			up := 0
-			for _, p := range g.peers {
-				if p.up() {
-					up++
-				}
-			}
-			return float64(up)
-		})
+		func() float64 { return float64(g.peersUp()) })
 	gauge("replicas", "Configured replication factor (owners per routing cell).",
 		func() float64 { return float64(g.cfg.Replicas) })
 	gauge("quorum_ok", "1 while every routing cell has at least one live owner.",
-		func() float64 { return b01(g.quorumOK()) })
+		func() float64 { return b01(g.quorumOK(g.peersUp())) })
 	counter("replica_fanout_total", "Extra point copies routed to replica owners.",
 		func() float64 { return float64(g.replicaFanout.Load()) })
 	gauge("handoff_depth", "Sub-batches currently queued for hinted handoff.",

@@ -112,9 +112,6 @@ type shard struct {
 	mu   sync.Mutex // guards sk
 	sk   sketch.Sketch
 	done atomic.Int64
-
-	pendMu sync.Mutex // guards pend
-	pend   []geom.Point
 }
 
 // Engine is the sharded batched stream processor. All exported methods
@@ -249,51 +246,10 @@ func (e *Engine) putBuckets(b *batchBuckets) {
 	e.bucketPool.Put(b)
 }
 
-// shardOf routes one point to its worker shard.
-//
-//sketch:hotpath
-func (e *Engine) shardOf(p geom.Point) *shard {
-	return e.shards[e.cfg.Router.Route(p)%uint64(len(e.shards))]
-}
-
-// Process feeds one stream point. Points accumulate in a per-shard
-// pending buffer and are shipped to the worker one batch at a time; call
-// Flush (or Query/Snapshot/Close, which flush) to push out a partial
-// batch. On a time-windowed engine the point arrives at the engine's
-// latest known timestamp (see ProcessStampedBatch) and ships
-// immediately. Process must not be called after Close.
-//
-//sketch:hotpath
-func (e *Engine) Process(p geom.Point) {
-	if e.stamped {
-		//sketch:ignore single stamped points ship as a one-element batch by design; batch callers use ProcessStampedBatch
-		e.ProcessStampedBatch([]geom.Point{p}, []int64{e.lastStamp.Load()})
-		return
-	}
-	if e.closed.Load() {
-		panic("engine: Process after Close")
-	}
-	e.enqueued.Add(1)
-	sh := e.shardOf(p)
-	sh.pendMu.Lock()
-	if sh.pend == nil {
-		sh.pend = e.getBuf()
-	}
-	sh.pend = append(sh.pend, p)
-	var full []geom.Point
-	if len(sh.pend) >= e.cfg.BatchSize {
-		full, sh.pend = sh.pend, nil
-	}
-	sh.pendMu.Unlock()
-	if full != nil {
-		sh.ch <- batch{pts: full}
-	}
-	// The epoch is bumped only after the point is enqueued: a concurrent
-	// snapshot that read the pre-bump epoch is stamped too old and merely
-	// rebuilds on the next query. Bumping first would let a snapshot that
-	// missed this point be stamped current — persistent staleness.
-	e.bumpEpoch()
-}
+// Process feeds one stream point: a one-element ProcessBatch. It ships
+// the point to its shard at once, so high-rate producers should batch.
+// Process must not be called after Close.
+func (e *Engine) Process(p geom.Point) { e.ProcessBatch([]geom.Point{p}) }
 
 // bumpEpoch advances the ingest epoch and wakes every WaitEpoch waiter.
 // The broadcast is a single swap-and-close: with no waiters parked the
@@ -315,15 +271,19 @@ func (e *Engine) bumpEpoch() {
 //sketch:hotpath
 func (e *Engine) Epoch() int64 { return e.epoch.Load() }
 
-// WaitEpoch blocks until the ingest epoch exceeds after, or ctx is done,
-// and returns the epoch it observed last — the long-poll primitive
-// behind the HTTP tier's GET /watch. A call whose after is already
-// behind returns immediately; otherwise the caller parks on a broadcast
-// channel that every epoch bump closes, so N waiters cost one channel
-// close per bump and zero work on the ingest path while nobody waits.
+// WaitEpoch blocks until the ingest epoch differs from after, or ctx is
+// done, and returns the epoch it observed last — the long-poll primitive
+// behind the HTTP tier's GET /watch. A call whose after is behind returns
+// immediately, and so does one whose after is ahead: the epoch is
+// monotone, so an after it never reached came from another engine (a
+// watcher that last saw a daemon before its restart) and would otherwise
+// park until this engine caught up. Otherwise the caller parks on a
+// broadcast channel that every epoch bump closes, so N waiters cost one
+// channel close per bump and zero work on the ingest path while nobody
+// waits.
 func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
 	for {
-		if ep := e.epoch.Load(); ep > after {
+		if ep := e.epoch.Load(); ep != after {
 			return ep
 		}
 		ch := e.watchCh.Load()
@@ -337,7 +297,7 @@ func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
 		// Re-check after parking the channel: a bump that raced ahead of
 		// the install already advanced the epoch (atomics are seq-cst, so
 		// a bump that this load misses must see — and close — *ch).
-		if ep := e.epoch.Load(); ep > after {
+		if ep := e.epoch.Load(); ep != after {
 			return ep
 		}
 		select {
@@ -351,65 +311,14 @@ func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
 // ProcessBatch feeds a batch of stream points: the batch is partitioned
 // by the router into per-shard sub-batches of at most BatchSize points
 // (no locks taken while routing), shipped to the workers as they fill —
-// so QueueDepth backpressure applies to large inputs too. Any pending
-// single-point buffer of a touched shard is flushed first, preserving
-// per-producer order. The slice ps itself is not retained, but the
-// points are: per the repository convention, points handed to a sketch
-// must not be mutated afterwards (Clone first), and with the engine that
-// holds from the moment ProcessBatch is called — workers read the
-// points asynchronously.
-//
-//sketch:hotpath
-func (e *Engine) ProcessBatch(ps []geom.Point) {
-	if len(ps) == 0 {
-		return
-	}
-	if e.stamped {
-		// Unstamped ingest into a time-windowed engine: the whole batch
-		// arrives at the engine-global latest timestamp. Stamping with the
-		// receiving shards' local clocks instead would backdate points on
-		// shards that have not seen recent traffic and silently expire them
-		// at snapshot-merge time.
-		//sketch:ignore unstamped ingest into a windowed engine synthesizes stamps once per batch
-		stamps := make([]int64, len(ps))
-		now := e.lastStamp.Load()
-		for i := range stamps {
-			stamps[i] = now
-		}
-		e.ProcessStampedBatch(ps, stamps)
-		return
-	}
-	if e.closed.Load() {
-		panic("engine: ProcessBatch after Close")
-	}
-	e.enqueued.Add(int64(len(ps)))
-	bk := e.getBuckets()
-	buckets := bk.pts
-	for _, p := range ps {
-		i := e.cfg.Router.Route(p) % uint64(len(e.shards))
-		b := buckets[i]
-		if b == nil {
-			e.flushShard(e.shards[i])
-			b = e.getBuf()
-		}
-		b = append(b, p)
-		if len(b) >= e.cfg.BatchSize {
-			e.shards[i].ch <- batch{pts: b}
-			b = e.getBuf()
-		}
-		buckets[i] = b
-	}
-	for i, b := range buckets {
-		if len(b) > 0 {
-			e.shards[i].ch <- batch{pts: b}
-		} else if b != nil {
-			e.putBuf(b)
-		}
-	}
-	e.putBuckets(bk)
-	// Bumped after enqueueing, for the reason documented in Process.
-	e.bumpEpoch()
-}
+// so QueueDepth backpressure applies to large inputs too. On a
+// time-windowed engine the whole batch arrives at the engine-global
+// latest timestamp (see ProcessStampedBatch). The slice ps itself is not
+// retained, but the points are: per the repository convention, points
+// handed to a sketch must not be mutated afterwards (Clone first), and
+// with the engine that holds from the moment ProcessBatch is called —
+// workers read the points asynchronously.
+func (e *Engine) ProcessBatch(ps []geom.Point) { e.ingest(ps, nil) }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points to a
 // time-windowed engine: stamps[i] is the timestamp of ps[i], and stamps
@@ -419,29 +328,50 @@ func (e *Engine) ProcessBatch(ps []geom.Point) {
 // sequential window sampler. Panics when the configured sketches do not
 // implement sketch.Stamped (build the engine with NewWindowSamplerEngine
 // or NewWindowF0Engine over a time-based window).
-//
-//sketch:hotpath
 func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
-	if len(ps) == 0 {
-		return
-	}
 	if len(ps) != len(stamps) {
 		panic("engine: ProcessStampedBatch: len(ps) != len(stamps)")
-	}
-	if e.closed.Load() {
-		panic("engine: ProcessStampedBatch after Close")
 	}
 	if !e.stamped {
 		panic("engine: ProcessStampedBatch on an engine whose sketches are not time-windowed (sketch.Stamped)")
 	}
-	// Advance the engine-global clock to the batch's latest stamp (stamps
-	// are non-decreasing within a batch). CAS-max: concurrent producers
-	// may race, and the clock must never move backwards.
-	for latest := stamps[len(stamps)-1]; ; {
-		cur := e.lastStamp.Load()
-		if latest <= cur || e.lastStamp.CompareAndSwap(cur, latest) {
-			break
+	e.ingest(ps, stamps)
+}
+
+// ProcessAt feeds one explicitly stamped point to a time-windowed engine:
+// a one-element ProcessStampedBatch.
+func (e *Engine) ProcessAt(p geom.Point, stamp int64) {
+	e.ProcessStampedBatch([]geom.Point{p}, []int64{stamp})
+}
+
+// ingest is the one routing loop behind every Process* method. stamps is
+// nil for unstamped ingest; on a time-windowed engine such a batch is
+// stamped with the engine-global latest timestamp. Stamping with the
+// receiving shards' local clocks instead would backdate points on shards
+// that have not seen recent traffic and silently expire them at
+// snapshot-merge time.
+//
+//sketch:hotpath
+func (e *Engine) ingest(ps []geom.Point, stamps []int64) {
+	if len(ps) == 0 {
+		return
+	}
+	if e.closed.Load() {
+		panic("engine: ingest after Close")
+	}
+	var now int64
+	if stamps != nil {
+		// Advance the engine-global clock to the batch's latest stamp
+		// (stamps are non-decreasing within a batch). CAS-max: concurrent
+		// producers may race, and the clock must never move backwards.
+		for latest := stamps[len(stamps)-1]; ; {
+			cur := e.lastStamp.Load()
+			if latest <= cur || e.lastStamp.CompareAndSwap(cur, latest) {
+				break
+			}
 		}
+	} else {
+		now = e.lastStamp.Load()
 	}
 	e.enqueued.Add(int64(len(ps)))
 	bk := e.getBuckets()
@@ -450,11 +380,16 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 		i := e.cfg.Router.Route(p) % uint64(len(e.shards))
 		b := buckets[i]
 		if b == nil {
-			e.flushShard(e.shards[i])
 			b = e.getBuf()
 		}
 		b = append(b, p)
-		stampBuckets[i] = append(stampBuckets[i], stamps[k])
+		if e.stamped {
+			st := now
+			if stamps != nil {
+				st = stamps[k]
+			}
+			stampBuckets[i] = append(stampBuckets[i], st)
+		}
 		if len(b) >= e.cfg.BatchSize {
 			e.shards[i].ch <- batch{pts: b, stamps: stampBuckets[i]}
 			b = e.getBuf()
@@ -470,47 +405,21 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 		}
 	}
 	e.putBuckets(bk)
-	// Bumped after enqueueing, for the reason documented in Process.
+	// The epoch is bumped only after the batch is enqueued: a concurrent
+	// snapshot that read the pre-bump epoch is stamped too old and merely
+	// rebuilds on the next query. Bumping first would let a snapshot that
+	// missed these points be stamped current — persistent staleness.
 	e.bumpEpoch()
 }
 
-// ProcessAt feeds one explicitly stamped point to a time-windowed engine.
-// Unlike Process it does not buffer: the point ships to its shard
-// immediately, so high-rate stamped producers should prefer
-// ProcessStampedBatch.
-func (e *Engine) ProcessAt(p geom.Point, stamp int64) {
-	e.ProcessStampedBatch([]geom.Point{p}, []int64{stamp})
-}
-
-// flushShard ships a shard's pending single-point buffer to its worker.
-//
-//sketch:hotpath
-func (e *Engine) flushShard(sh *shard) {
-	sh.pendMu.Lock()
-	pend := sh.pend
-	sh.pend = nil
-	sh.pendMu.Unlock()
-	if pend != nil {
-		sh.ch <- batch{pts: pend}
-	}
-}
-
-// Flush ships every partially filled pending buffer to its worker.
-func (e *Engine) Flush() {
-	for _, sh := range e.shards {
-		e.flushShard(sh)
-	}
-}
-
-// Drain flushes pending buffers and blocks until every batch enqueued so
-// far has been fully ingested. Concurrent producers may keep feeding;
+// Drain blocks until every batch enqueued so far has been fully
+// ingested. Concurrent producers may keep feeding;
 // Drain only guarantees its happens-before batches are done. After Close
 // (which already drained) it is a no-op.
 func (e *Engine) Drain() {
 	if e.closed.Load() {
 		return
 	}
-	e.Flush()
 	acks := make([]chan struct{}, len(e.shards))
 	for i, sh := range e.shards {
 		acks[i] = make(chan struct{})
@@ -681,7 +590,7 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Close flushes, stops the workers, and waits for them to finish.
+// Close stops the workers and waits for them to finish.
 // Snapshot/Query keep working on the final state, but no further points
 // may be processed. Close is idempotent, but must not race with
 // in-flight Process/ProcessBatch/Drain calls; Process after Close panics.
@@ -689,7 +598,6 @@ func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	e.Flush()
 	for _, sh := range e.shards {
 		close(sh.ch)
 	}

@@ -147,7 +147,7 @@ type Server struct {
 	notModified       atomic.Int64 // conditional GETs answered 304
 
 	watchRequests atomic.Int64 // GET /watch calls served
-	watchChanged  atomic.Int64 // /watch answers that reported a newer epoch
+	watchChanged  atomic.Int64 // /watch answers that reported a different epoch
 	watchTimeouts atomic.Int64 // /watch answers that timed out unchanged
 
 	// watchCtx is canceled by ReleaseWatches: parked /watch long-polls
@@ -238,8 +238,10 @@ type QueryResponse struct {
 type WatchResponse struct {
 	// Epoch is the engine's ingest epoch at response time.
 	Epoch int64 `json:"epoch"`
-	// Changed reports whether Epoch exceeds the ?epoch= the client was
-	// watching from (false means the poll timed out unchanged).
+	// Changed reports whether Epoch differs from the ?epoch= the client
+	// was watching from (false means the poll timed out unchanged). An
+	// Epoch below it means the daemon restarted since the client last
+	// looked.
 	Changed bool `json:"changed"`
 }
 
@@ -277,7 +279,7 @@ type StatsResponse struct {
 	NotModified int64 `json:"not_modified"`
 	// WatchRequests counts GET /watch long-polls served.
 	WatchRequests int64 `json:"watch_requests"`
-	// WatchChanged counts /watch answers that reported a newer epoch
+	// WatchChanged counts /watch answers that reported a different epoch
 	// (immediately or after blocking).
 	WatchChanged int64 `json:"watch_changed"`
 	// WatchTimeouts counts /watch answers that timed out with the epoch
@@ -532,8 +534,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWatch is the push-propagation hook: a long-poll that answers as
-// soon as the engine's ingest epoch exceeds ?epoch= (immediately when it
-// already does), or with Changed=false when the poll times out first.
+// soon as the engine's ingest epoch differs from ?epoch= (immediately
+// when it already does — also when ?epoch= is ahead, as it is for a
+// watcher that last saw this daemon before a restart), or with
+// Changed=false when the poll times out first.
 // The wait costs no locks on the ingest path — it parks on the engine's
 // epoch broadcast channel (engine.WaitEpoch). ?timeout= (a Go duration)
 // may shorten the server's WatchTimeout ceiling but never extend it.
@@ -567,7 +571,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(s.watchCtx, cancel)()
 	epoch := s.cfg.Engine.WaitEpoch(ctx, after)
-	changed := epoch > after
+	changed := epoch != after
 	if changed {
 		s.watchChanged.Add(1)
 	} else {

@@ -2,8 +2,8 @@ package server
 
 // GET /watch suite: long-poll semantics over HTTP. These pin the
 // contract the cluster gateway's push watchers depend on — a stale
-// ?epoch= answers immediately, a current one blocks until the next
-// ingest, ?timeout= bounds the block, and malformed parameters are
+// ?epoch= answers immediately (behind, or ahead after a restart), a
+// current one blocks until the next ingest, ?timeout= bounds the block, and malformed parameters are
 // client errors, not hangs.
 
 import (
@@ -41,6 +41,28 @@ func TestWatchImmediateWhenBehind(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("watch behind the current epoch blocked")
+	}
+}
+
+// TestWatchImmediateWhenAhead pins the restart case: a watcher that last
+// saw a previous incarnation of the daemon sends an epoch this engine
+// has not reached, and must learn the new epoch at once instead of
+// parking until the engine catches up.
+func TestWatchImmediateWhenAhead(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 8, StreamBound: 1 << 12, Kappa: 64}
+	ts, eng := newL0Server(t, opts, 2, "")
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/watch?epoch=200&timeout=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := mustJSON[WatchResponse](t, resp, http.StatusOK)
+	if !wr.Changed || wr.Epoch != eng.Epoch() {
+		t.Fatalf("watch ahead of the epoch = %+v, want Changed=true Epoch=%d", wr, eng.Epoch())
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("watch ahead of the current epoch blocked")
 	}
 }
 
@@ -92,7 +114,7 @@ func TestWatchTimesOutUnchanged(t *testing.T) {
 	ts, eng := newL0Server(t, opts, 1, "")
 
 	start := time.Now()
-	resp, err := http.Get(ts.URL + "/watch?epoch=99&timeout=50ms")
+	resp, err := http.Get(ts.URL + "/watch?epoch=0&timeout=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +162,7 @@ func TestWatchStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustJSON[WatchResponse](t, resp, http.StatusOK)
-	if resp, err = http.Get(ts.URL + "/watch?epoch=99&timeout=20ms"); err != nil {
+	if resp, err = http.Get(ts.URL + "/watch?epoch=1&timeout=20ms"); err != nil {
 		t.Fatal(err)
 	}
 	mustJSON[WatchResponse](t, resp, http.StatusOK)
